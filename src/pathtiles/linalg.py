@@ -6,11 +6,19 @@ sums of maximum minors of rectangular matrices.  Determinants dispatch on the
 entry types: fraction-free Bareiss elimination for numeric entries,
 division-free column-subset dynamic programming for polynomial ones
 (polynomial rings have no cheap exact division; target orders are small).
+
+Bareiss elimination (E. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968) runs on ints:
+each row is first multiplied by the lcm of its denominators, the
+elimination divides exactly by the previous pivot, and the result is divided
+by the product of the row scales.  A numeric determinant is therefore an int
+when it is integral and a Fraction only when it is not.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .ring import scalar_str, parse_scalar
@@ -128,9 +136,15 @@ def determinant(matrix: ExactMatrix):
 
 def _det_bareiss(matrix: ExactMatrix):
     n = matrix.rows
-    a = [[Fraction(x) for x in matrix.row(i)] for i in range(n)]
+    a = []
+    scale = 1
+    for i in range(n):
+        row = matrix.row(i)
+        d = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for r in range(k + 1, n):
@@ -139,12 +153,16 @@ def _det_bareiss(matrix: ExactMatrix):
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
+        pivot, row_k = a[k][k], a[k]
         for i in range(k + 1, n):
+            row_i = a[i]
+            lead = row_i[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                row_i[j] = (pivot * row_i[j] - lead * row_k[j]) // prev
+        prev = pivot
+    det = sign * a[n - 1][n - 1]
+    return det // scale if det % scale == 0 else Fraction(det, scale)
 
 
 def _det_subset_dp(matrix: ExactMatrix):

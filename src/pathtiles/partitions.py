@@ -232,6 +232,8 @@ def qt_path_matrix(m: int, shape) -> ExactMatrix:
     """Path matrix of the (q,t)-weighted lattice: row i, column j carries
     t^(m+i-j) * qbinomial(p_i - 1 + m + i - j, m + i - j)."""
     shape = validate_strict_partition(shape)
+    if m < 0:
+        raise ValueError("largest entry bound must be >= 0")
     k = len(shape)
     rows = []
     for i, part in enumerate(shape, start=1):

@@ -3,8 +3,18 @@
 Rationals are plain ``fractions.Fraction`` (always in lowest terms, positive
 denominator).  Polynomials are stored sparsely as a map from exponent pairs
 ``(e_q, e_t)`` to nonzero rational coefficients; exponents must be
-nonnegative.  Everything is immutable after construction, so values can be
-shared freely.
+nonnegative.  A coefficient is stored as an ``int`` when it is integral and
+as a ``Fraction`` only when it is not, so ``terms()`` returns a dict
+``{(e_q, e_t): int | Fraction}`` and integer polynomials never touch
+``Fraction`` arithmetic.  Since ``hash(Fraction(n)) == hash(n)`` and the two
+compare equal, the choice is invisible to ``==``, ``hash`` and ``str``.
+
+Products of two integer polynomials with many term pairs use Kronecker
+substitution (D. Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symbolic Comput. 2009): both operands are packed
+into one big integer each, multiplied once, and unpacked.  Rational, small
+and very sparse products use the schoolbook dict loop.  Everything is
+immutable after construction, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -13,6 +23,12 @@ import re
 from fractions import Fraction
 
 Rational = Fraction
+
+# Term pairs (|a| * |b|) above which an all-int product is packed.  Measured
+# on CPython 3.11, x86-64: the dict loop and the packed multiply break even
+# near 12x12 dense terms; packing is 1.2-1.7x faster at 16x16 and about 3x
+# faster at 32x32.  CHANGES.md has the table.
+_PACK_MIN_PAIRS = 128
 
 # Scalar = int | Fraction | QtPolynomial; kept loose on purpose so plain
 # Python ints flow through matrix/graph code unchanged.
@@ -29,7 +45,7 @@ class QtPolynomial:
             for (eq, et), coeff in dict(terms).items():
                 if eq < 0 or et < 0:
                     raise ValueError(f"negative exponent in term q^{eq}*t^{et}")
-                c = Fraction(coeff)
+                c = _coefficient(coeff)
                 if c:
                     clean[(int(eq), int(et))] = c
         self._terms = clean
@@ -38,9 +54,10 @@ class QtPolynomial:
     def from_scalar(cls, value) -> "QtPolynomial":
         if isinstance(value, QtPolynomial):
             return value
-        return cls({(0, 0): Fraction(value)})
+        return cls({(0, 0): value})
 
-    def terms(self) -> dict[tuple[int, int], Fraction]:
+    def terms(self) -> dict[tuple[int, int], int | Fraction]:
+        """A copy of the term map; integral coefficients are ints."""
         return dict(self._terms)
 
     @property
@@ -48,15 +65,15 @@ class QtPolynomial:
         return not self._terms
 
     def constant_value(self):
-        """The value as a Fraction, if the polynomial is constant."""
+        """The value as an int or Fraction, if the polynomial is constant."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if set(self._terms) == {(0, 0)}:
             return self._terms[(0, 0)]
         raise ValueError(f"not a constant polynomial: {self}")
 
-    def coefficient(self, eq: int, et: int) -> Fraction:
-        return self._terms.get((eq, et), Fraction(0))
+    def coefficient(self, eq: int, et: int) -> int | Fraction:
+        return self._terms.get((eq, et), 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -69,7 +86,7 @@ class QtPolynomial:
         for key, c in other._terms.items():
             s = out.get(key, 0) + c
             if s:
-                out[key] = s
+                out[key] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 out.pop(key, None)
         return _raw(out)
@@ -92,15 +109,24 @@ class QtPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (aq, at), ac in self._terms.items():
-            for (bq, bt), bc in other._terms.items():
+        a, b = self._terms, other._terms
+        if len(a) * len(b) > _PACK_MIN_PAIRS and _all_int(a) and _all_int(b):
+            packed = _mul_packed(a, b)
+            if packed is not None:
+                return _raw(packed)
+        out: dict[tuple[int, int], int | Fraction] = {}
+        for (aq, at), ac in a.items():
+            for (bq, bt), bc in b.items():
                 key = (aq + bq, at + bt)
                 s = out.get(key, 0) + ac * bc
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
+        # Rational products and sums can come out integral.
+        for key, c in out.items():
+            if type(c) is not int and c.denominator == 1:
+                out[key] = c.numerator
         return _raw(out)
 
     __rmul__ = __mul__
@@ -108,7 +134,7 @@ class QtPolynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = _raw({(0, 0): Fraction(1)})
+        result = _raw({(0, 0): 1})
         base = self
         e = exponent
         while e:
@@ -164,6 +190,63 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return QtPolynomial.from_scalar(value)
     return NotImplemented
+
+
+def _coefficient(value) -> int | Fraction:
+    """Canonical coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _all_int(terms: dict) -> bool:
+    return all(type(c) is int for c in terms.values())
+
+
+def _mul_packed(a: dict, b: dict) -> dict | None:
+    """Product of two int term maps by Kronecker substitution.
+
+    Term (e_q, e_t) goes to slot e_q * stride + e_t with stride =
+    deg_t(a) + deg_t(b) + 1, so product exponents never carry across slots.
+    Every slot is wide enough for any product coefficient plus a sign bit:
+    |c| <= max|a| * max|b| * min(|a|, |b|).  Adding 2^(w-1) to every slot
+    of the signed product makes all slots nonnegative, so the bytes of the
+    biased product are the slots themselves.
+
+    Returns None when the product has more slots than term pairs: unpacking
+    visits every slot, so the dict loop does less work on such sparse input.
+    """
+    stride = max(et for _, et in a) + max(et for _, et in b) + 1
+    slots = (max(eq for eq, _ in a) + max(eq for eq, _ in b) + 1) * stride
+    if slots > len(a) * len(b):
+        return None
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    size = slots * width
+    bias = (b"\0" * (width - 1) + b"\x80") * slots
+    product = _pack(a, stride, width) * _pack(b, stride, width)
+    data = (product + int.from_bytes(bias, "little")).to_bytes(size, "little")
+    half = 1 << (8 * width - 1)
+    out = {}
+    for start in range(0, size, width):
+        c = int.from_bytes(data[start : start + width], "little") - half
+        if c:
+            out[divmod(start // width, stride)] = c
+    return out
+
+
+def _pack(terms: dict, stride: int, width: int) -> int:
+    """The terms evaluated at q = 2^(8 * width * stride), t = 2^(8 * width)."""
+    size = (max(eq * stride + et for eq, et in terms) + 1) * width
+    pos, neg = bytearray(size), bytearray(size)
+    for (eq, et), c in terms.items():
+        i = (eq * stride + et) * width
+        if c > 0:
+            pos[i : i + width] = c.to_bytes(width, "little")
+        else:
+            neg[i : i + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _format_monomial(coeff: Fraction, eq: int, et: int) -> str:
@@ -243,13 +326,8 @@ def parse_polynomial(text: str) -> QtPolynomial:
         coeff, eq, et = _parse_term(term)
         if sign == "-":
             coeff = -coeff
-        key = (eq, et)
-        c = total.get(key, Fraction(0)) + coeff
-        if c:
-            total[key] = c
-        else:
-            total.pop(key, None)
-    return _raw(total)
+        total[(eq, et)] = total.get((eq, et), 0) + coeff
+    return QtPolynomial(total)
 
 
 def _parse_term(term: str) -> tuple[Fraction, int, int]:

@@ -48,6 +48,15 @@ def test_spp_gf_det(capsys):
     assert capsys.readouterr().out.strip() == "1 + 2*t + t^2"
 
 
+@pytest.mark.parametrize("method", ["det", "enum", "both"])
+def test_spp_gf_rejects_negative_bound(capsys, method):
+    argv = ["compute", "spp-gf", "--m", "-1", "--shape", "3,1", "--method", method]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "largest entry bound must be >= 0" in captured.err
+
+
 def test_spp_gf_subcommand_alias(capsys):
     assert main(["spp", "gf", "--m", "1", "--shape", "1", "--mode", "qt", "--method", "enum"]) == 0
     assert capsys.readouterr().out.strip() == "1 + t"

@@ -64,6 +64,51 @@ def test_determinant_against_cofactor_oracle():
         assert determinant(m) == cofactor_det(m)
 
 
+def test_integer_bareiss_against_cofactor_oracle():
+    rng = random.Random(17)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        m = random_integer_matrix(rng, n, n, -(10**12), 10**12)
+        det = determinant(m)
+        assert type(det) is int
+        assert det == cofactor_det(m)
+
+
+def test_rational_bareiss_against_cofactor_oracle():
+    rng = random.Random(19)
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n * n)]
+        m = ExactMatrix(n, n, entries)
+        det = determinant(m)
+        assert det == cofactor_det(m)
+        assert type(det) is int or det.denominator != 1
+
+
+def test_bareiss_zero_pivots_and_singular_matrices():
+    # Zero leading pivots that a row swap repairs, integral and rational.
+    swap = ExactMatrix.from_rows([[0, 2, 1], [0, 1, 5], [3, 1, 1]])
+    assert determinant(swap) == cofactor_det(swap) == 27
+    half = ExactMatrix.from_rows([[0, Fraction(1, 2)], [Fraction(1, 3), 0]])
+    assert determinant(half) == Fraction(-1, 6)
+    late = ExactMatrix.from_rows([[1, 2, 3, 4], [2, 4, 7, 1], [0, 0, 1, 2], [1, 3, 0, 1]])
+    assert determinant(late) == cofactor_det(late)
+    # Singular: a dependent row, a zero column, and a rational dependent row.
+    for rows in (
+        [[1, 2, 3], [2, 4, 6], [0, 1, 1]],
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+        [[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 3)]],
+    ):
+        m = ExactMatrix.from_rows(rows)
+        assert determinant(m) == 0 == cofactor_det(m)
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        rows = [[rng.choice([0, 0, 0, 1, -1, Fraction(1, 2)]) for _ in range(n)] for _ in range(n)]
+        m = ExactMatrix.from_rows(rows)
+        assert determinant(m) == cofactor_det(m)
+
+
 def test_polynomial_determinant_against_cofactor_oracle():
     rng = random.Random(11)
     monos = [QtPolynomial({(i, j): 1}) for i in range(2) for j in range(2)]

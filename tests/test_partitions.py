@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pathtiles.lozenge import count_tilings, mirrored_hook_region
+from pathtiles.lozenge import count_tilings, mirrored_hook_region, mirrored_tiling_gf_formula
 from pathtiles.partitions import (
     ShiftedPlanePartition,
     check_count_identity,
@@ -111,6 +111,24 @@ def test_qt_determinant_matches_enumeration_squared():
         for m in range(3):
             e = qt_gf_enumerated(m, shape)
             assert qt_gf_determinant(m, shape) == e * e
+
+
+def test_qt_determinant_readme_scale():
+    # At q = t = 1 the squared (q,t)-GF is the squared count of shifted
+    # fillings, 2^k times the two-sided tiling GF.
+    shape = (9, 7, 6, 3, 2)
+    det = qt_gf_determinant(6, shape)
+    assert sum(det.terms().values()) == 2 ** len(shape) * mirrored_tiling_gf_formula(6, shape)
+
+
+def test_determinant_routes_reject_negative_bound():
+    for call in (
+        lambda: qt_gf_determinant(-1, (3, 1)),
+        lambda: volume_gf(-1, (3, 1), "spp"),
+        lambda: volume_gf(-1, (3, 1), "pp_sym"),
+    ):
+        with pytest.raises(ValueError, match="largest entry bound"):
+            call()
 
 
 def test_setting_t_to_q_gives_volume():

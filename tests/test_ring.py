@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathtiles import ring
 from pathtiles.ring import (
     ONE,
     QtPolynomial,
@@ -24,6 +25,26 @@ coefficients = st.fractions(
 )
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
 polynomials = st.dictionaries(exponents, coefficients, max_size=5).map(QtPolynomial)
+
+# Integer polynomials large enough for the packed multiply.  A product of two
+# of them has at most 19 * 11 slots; of two t-free ones at most 119.
+big_ints = st.integers(-(10**30), 10**30).filter(bool)
+int_polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 5)), big_ints, min_size=10, max_size=60
+).map(QtPolynomial)
+q_only_polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 59), st.just(0)), big_ints, min_size=11, max_size=60
+).map(QtPolynomial)
+
+
+def schoolbook(a, b):
+    """Independent product oracle: every term pair, summed in a dict."""
+    out = {}
+    for (aq, at), ac in a.terms().items():
+        for (bq, bt), bc in b.terms().items():
+            key = (aq + bq, at + bt)
+            out[key] = out.get(key, 0) + ac * bc
+    return {key: c for key, c in out.items() if c}
 
 
 def test_qint_values():
@@ -139,3 +160,84 @@ def test_constant_value():
     assert QtPolynomial({(0, 0): Fraction(5, 3)}).constant_value() == Fraction(5, 3)
     with pytest.raises(ValueError):
         (1 + q).constant_value()
+
+
+def _assert_packed_matches_schoolbook(a, b, packs=True):
+    # packs=False: the operands may be too sparse to pack (None is allowed).
+    expected = schoolbook(a, b)
+    packed = ring._mul_packed(a.terms(), b.terms())
+    assert packed == expected or (not packs and packed is None)
+    product = a * b
+    assert product.terms() == expected
+    assert all(type(c) is int for c in product.terms().values())
+
+
+@given(int_polynomials, int_polynomials)
+@settings(max_examples=40, deadline=None)
+def test_packed_multiply_matches_schoolbook(a, b):
+    _assert_packed_matches_schoolbook(a, b, packs=len(a.terms()) * len(b.terms()) >= 19 * 11)
+
+
+@given(q_only_polynomials, q_only_polynomials, int_polynomials)
+@settings(max_examples=20, deadline=None)
+def test_packed_multiply_t_degree_zero(a, b, c):
+    _assert_packed_matches_schoolbook(a, b)
+    _assert_packed_matches_schoolbook(a, c, packs=False)
+
+
+def test_packed_multiply_small_and_single_term_operands():
+    a = QtPolynomial({(0, 0): -(10**30)})
+    _assert_packed_matches_schoolbook(a, QtPolynomial({(0, 0): 10**30 - 1}))
+    _assert_packed_matches_schoolbook(a, qint(40))
+    _assert_packed_matches_schoolbook(1 - q, 1 + q)
+    _assert_packed_matches_schoolbook(1 - t, 1 + t + t**2)
+
+
+def test_sparse_products_skip_packing():
+    # Exponents far apart would need ~4 million slots for 144 term pairs.
+    a = QtPolynomial({(10**5 * i, i % 2): i + 1 for i in range(12)})
+    b = QtPolynomial({(10**5 * i + 1, 0): -(10**30) for i in range(12)})
+    assert ring._mul_packed(a.terms(), b.terms()) is None
+    assert (a * b).terms() == schoolbook(a, b)
+
+
+def test_packed_multiply_cancellation():
+    # (1 + q + ... + q^39) * (1 - q) * f = (1 - q^40) * f: every middle
+    # coefficient of the product cancels to zero.
+    f = 1 + t + t**2 + 3 * t**3 - 5 * t**4
+    a, b = qint(40), (1 - q) * f
+    assert len(a.terms()) * len(b.terms()) > ring._PACK_MIN_PAIRS
+    assert a * b == (1 - q**40) * f
+    _assert_packed_matches_schoolbook(a, b)
+    big = QtPolynomial({(i, i % 3): (-1) ** i * 10**30 for i in range(30)})
+    _assert_packed_matches_schoolbook(big, big)
+    assert (big * big) + (-big) * big == 0
+
+
+def test_mixed_int_and_fraction_operands():
+    a = QtPolynomial({(i, i % 2): i + 1 for i in range(20)})
+    b = QtPolynomial({(i, 0): Fraction(1, 2) if i % 3 else 2 for i in range(20)})
+    product = a * b
+    assert product.terms() == schoolbook(a, b)
+    assert product == b * a
+    for c in product.terms().values():
+        assert type(c) is int or c.denominator != 1
+    assert a * Fraction(3, 2) * 2 == 3 * a
+    assert all(type(c) is int for c in (a * Fraction(3, 2) * 2).terms().values())
+
+
+def test_integral_coefficients_are_ints():
+    p = QtPolynomial({(0, 0): Fraction(4, 2)})
+    assert type(p.terms()[(0, 0)]) is int
+    assert p == 2
+    assert p == QtPolynomial({(0, 0): 2})
+    assert hash(p) == hash(QtPolynomial({(0, 0): 2}))
+    assert str(p) == "2"
+    half_q = QtPolynomial({(1, 0): Fraction(1, 2)})
+    assert type((half_q + half_q).terms()[(1, 0)]) is int
+    assert type((half_q * 2).terms()[(1, 0)]) is int
+    assert type(QtPolynomial.from_scalar(Fraction(6, 3)).terms()[(0, 0)]) is int
+    parsed = parse_polynomial("1/2*q + 1/2*q - 3/2")
+    assert parsed.terms() == {(1, 0): 1, (0, 0): Fraction(-3, 2)}
+    assert type(parsed.terms()[(1, 0)]) is int
+    assert str(parsed) == "-3/2 + q"

@@ -20,11 +20,16 @@ horizontal lozenge ending each shifted hook.  The squared free-boundary
 count of the one-sided region equals 2^(surviving hooks) times the weighted
 count of the two-sided one, and both sides are also evaluated through
 maximal-minor sums and determinants of binomial path matrices.
+
+Tilers.  count_tilings is a transfer-matrix scan whose states are bitmasks
+of the cells just ahead that are already covered.  iter_tilings,
+sample_tiling and count_symmetric_tilings (which places whole symmetry
+orbits of covers) share one depth-first search on an explicit stack.  Each
+tiler spends a Budget, and none recurses.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -131,126 +136,100 @@ class Region:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force tiling enumeration (the oracle)
+# Tilers: a transfer-matrix count and one depth-first search core
 # ---------------------------------------------------------------------------
 
 
 def _tiling_plan(region: Region):
-    """Precompute scan order, partner indices, and weights for backtracking."""
+    """Cell bits in sorted order and, per cell, its moves (cell bitmask,
+    covers, weight): its lozenges in cell_partners order, earlier partners
+    included, then its free half if any."""
     cells = region.sorted_cells()
-    index = {c: i for i, c in enumerate(cells)}
-    partners = []
+    bit = {c: 1 << i for i, c in enumerate(cells)}
+    moves = []
     for c in cells:
-        opts = []
-        for p in cell_partners(c):
-            j = index.get(p)
-            if j is not None:
-                opts.append((j, region.weight_of(frozenset((c, p)))))
+        covers = [frozenset((c, p)) for p in cell_partners(c) if p in bit]
         if cell_vertical_side(c) in region.free_edges:
-            opts.append((None, region.weight_of(frozenset((c,)))))
-        partners.append(opts)
-    return cells, partners
+            covers.append(frozenset((c,)))
+        moves.append([(sum(map(bit.get, cover)), (cover,), region.weight_of(cover)) for cover in covers])
+    return bit, moves
 
 
 def count_tilings(region: Region, budget: Budget | None = None):
-    """Weighted number of tilings, by backtracking over cells in scan order."""
+    """Weighted number of tilings, by a transfer-matrix scan over the cells
+    in sorted order.  A state is the bitmask of later cells already covered,
+    relative to the scan position, and carries the total weight of the
+    partial tilings reaching it.  Each cell spends its live states' count
+    from the budget."""
     if budget is None:
         budget = Budget()
-    cells, partners = _tiling_plan(region)
-    n = len(cells)
-    covered = bytearray(n)
+    _, moves = _tiling_plan(region)
+    states = {0: 1}
+    for i, opts in enumerate(moves):
+        budget.spend(len(states))
+        # Moves that cover no earlier cell, as masks relative to cell i.
+        steps = [(m >> i, None if w == 1 else w) for m, _, w in opts if m >> i << i == m]
+        nxt: dict = {}
+        for mask, weight in states.items():
+            if mask & 1:
+                nxt[mask >> 1] = nxt.get(mask >> 1, 0) + weight
+                continue
+            for step, w in steps:
+                if not mask & step:
+                    key = (mask | step) >> 1
+                    nxt[key] = nxt.get(key, 0) + (weight if w is None else weight * w)
+        states = nxt
+    return states.get(0, 0)
 
-    def rec(pos: int, acc):
+
+def _search(moves, budget: Budget | None = None, shuffle=None):
+    """Depth-first search, on an explicit stack, for exact covers of cells
+    0 .. len(moves) - 1: each node tries the moves of its first uncovered
+    cell, after shuffle(a copy of them) if given, and spends one budget
+    state.  Each complete cover yields the chosen moves (a reused list).
+    """
+    if budget is None:
+        budget = Budget()
+    full = (1 << len(moves)) - 1
+    covered = 0  # bitmask of covered cells
+    chosen: list = []
+    frames: list = []  # per open node, an iterator over its untried moves
+    while True:
         budget.spend()
-        while pos < n and covered[pos]:
-            pos += 1
-        if pos == n:
-            return acc
-        total = 0
-        covered[pos] = 1
-        for j, w in partners[pos]:
-            if j is None:
-                total = total + rec(pos + 1, acc * w)
-            elif j > pos and not covered[j]:
-                covered[j] = 1
-                total = total + rec(pos + 1, acc * w)
-                covered[j] = 0
-        covered[pos] = 0
-        return total
-
-    return rec(0, 1)
+        if covered == full:
+            yield chosen
+        else:
+            options = moves[(~covered & (covered + 1)).bit_length() - 1]
+            if shuffle is not None:
+                options = list(options)
+                shuffle(options)
+            frames.append(iter(options))
+        while frames:
+            if len(chosen) == len(frames):  # the top node's move is placed
+                covered ^= chosen.pop()[0]
+            move = next((mv for mv in frames[-1] if not covered & mv[0]), None)
+            if move is not None:
+                break
+            frames.pop()
+        else:
+            return
+        covered |= move[0]
+        chosen.append(move)
 
 
 def iter_tilings(region: Region, budget: Budget | None = None):
     """Yield every tiling as a frozenset of covers (cell pairs or free halves)."""
-    if budget is None:
-        budget = Budget()
-    cells, partners = _tiling_plan(region)
-    n = len(cells)
-    covered = bytearray(n)
-    stack: list[frozenset] = []
-
-    def rec(pos: int):
-        budget.spend()
-        while pos < n and covered[pos]:
-            pos += 1
-        if pos == n:
-            yield frozenset(stack)
-            return
-        covered[pos] = 1
-        for j, _ in partners[pos]:
-            if j is None:
-                stack.append(frozenset((cells[pos],)))
-                yield from rec(pos + 1)
-                stack.pop()
-            elif j > pos and not covered[j]:
-                covered[j] = 1
-                stack.append(frozenset((cells[pos], cells[j])))
-                yield from rec(pos + 1)
-                stack.pop()
-                covered[j] = 0
-        covered[pos] = 0
-
-    yield from rec(0)
+    _, moves = _tiling_plan(region)
+    for chosen in _search(moves, budget):
+        yield frozenset(cover for move in chosen for cover in move[1])
 
 
 def sample_tiling(region: Region, rng, budget: Budget | None = None):
     """First tiling found by a depth-first search with shuffled branches."""
-    if budget is None:
-        budget = Budget()
-    cells, partners = _tiling_plan(region)
-    n = len(cells)
-    covered = bytearray(n)
-    stack: list[frozenset] = []
-
-    def rec(pos: int):
-        budget.spend()
-        while pos < n and covered[pos]:
-            pos += 1
-        if pos == n:
-            return True
-        options = list(partners[pos])
-        rng.shuffle(options)
-        covered[pos] = 1
-        for j, _ in options:
-            if j is None:
-                stack.append(frozenset((cells[pos],)))
-                if rec(pos + 1):
-                    return True
-                stack.pop()
-            elif j > pos and not covered[j]:
-                covered[j] = 1
-                stack.append(frozenset((cells[pos], cells[j])))
-                if rec(pos + 1):
-                    return True
-                stack.pop()
-                covered[j] = 0
-        covered[pos] = 0
-        return False
-
-    if not rec(0):
-        raise ValueError("region has no tiling")
-    return list(stack)
+    _, moves = _tiling_plan(region)
+    for chosen in _search(moves, budget, rng.shuffle):
+        return [cover for move in chosen for cover in move[1]]
+    raise ValueError("region has no tiling")
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +282,25 @@ def _map_edge(cell_map, edge):
 
 
 def count_symmetric_tilings(region: Region, mode: str, budget: Budget | None = None):
-    """Number of tilings fixed by the chosen symmetries of the region."""
+    """Number of tilings fixed by the chosen symmetries of the region.
+
+    A fixed tiling is a disjoint union of orbits of covers, so the search
+    places each cover together with its orbit and visits only fixed tilings.
+    """
     maps = _symmetry_maps(region, mode)
-    total = 0
-    for tiling in iter_tilings(region, budget):
-        if all(frozenset(frozenset(f(c) for c in cover) for cover in tiling) == tiling for f in maps):
-            weight = 1
-            for cover in tiling:
-                weight = weight * region.weight_of(cover)
-            total = total + weight
-    return total
+    bit, moves = _tiling_plan(region)
+    orbit_moves = []
+    for opts in moves:
+        orbit_moves.append([])
+        for _, (cover,), _ in opts:
+            orbit = {cover}
+            for f in maps:  # commuting involutions: one pass each closes the orbit
+                orbit |= {frozenset(map(f, image)) for image in orbit}
+            cells = [c for image in orbit for c in image]
+            if len(set(cells)) == len(cells):  # an orbit overlapping itself is never placed
+                weight = math.prod(map(region.weight_of, orbit))
+                orbit_moves[-1].append((sum(map(bit.get, cells)), tuple(orbit), weight))
+    return sum(math.prod(w for _, _, w in chosen) for chosen in _search(orbit_moves, budget))
 
 
 def reflect_cells(cells, line: int = 0):

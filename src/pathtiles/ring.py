@@ -151,6 +151,11 @@ class QtPolynomial:
         return self._terms == other._terms
 
     def __hash__(self):
+        # A constant compares equal to its scalar, so it must hash like it.
+        if not self._terms:
+            return hash(0)
+        if len(self._terms) == 1 and (0, 0) in self._terms:
+            return hash(self._terms[(0, 0)])
         return hash(frozenset(self._terms.items()))
 
     def substitute(self, q_image, t_image) -> "QtPolynomial":

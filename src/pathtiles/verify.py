@@ -318,36 +318,39 @@ def suite_tilings(rng, max_part: int = 4, max_parts: int = 3, max_m: int = 2,
 # ---------------------------------------------------------------------------
 
 
+# (m, n, holes) of holed_hexagon and (m, n, x, holes) of punctured_hexagon.
+HEXAGON_CASES = [
+    (1, 1, ()),
+    (1, 2, ()),
+    (1, 2, (1,)),
+    (1, 3, ()),
+    (1, 3, (1,)),
+    (2, 2, ()),
+    (2, 3, ()),
+]
+PUNCTURED_HEXAGON_CASES = [
+    (1, 2, 1, ()),
+    (1, 2, 2, ()),
+    (1, 2, 1, (1,)),
+]
+
+
 def suite_hexagons(rng) -> list[CheckRecord]:
     records: list[CheckRecord] = []
-    plain_cases = [
-        (1, 1, ()),
-        (1, 2, ()),
-        (1, 2, (1,)),
-        (1, 3, ()),
-        (1, 3, (1,)),
-        (2, 2, ()),
-        (2, 3, ()),
-    ]
-    punctured_cases = [
-        (1, 2, 1, ()),
-        (1, 2, 2, ()),
-        (1, 2, 1, (1,)),
-    ]
 
     def factorization():
-        for m, n, holes in plain_cases:
+        for m, n, holes in HEXAGON_CASES:
             if not lozenge.check_hexagon_factorization(m, n, holes, "a"):
                 return False, f"hexagon (m={m}, n={n}, holes={holes})"
-        for m, n, x, holes in punctured_cases:
+        for m, n, x, holes in PUNCTURED_HEXAGON_CASES:
             if not lozenge.check_hexagon_factorization(m, n, holes, "b", x):
                 return False, f"punctured (m={m}, n={n}, x={x}, holes={holes})"
-        return True, f"{len(plain_cases)} hexagons, {len(punctured_cases)} punctured"
+        return True, f"{len(HEXAGON_CASES)} hexagons, {len(PUNCTURED_HEXAGON_CASES)} punctured"
 
     def quotient_regions():
         # The symmetric tiling counts of the hexagon match the free/two-sided
         # counts of its quotient hook regions.
-        for m, n, holes in plain_cases:
+        for m, n, holes in HEXAGON_CASES:
             if n < 2:
                 continue
             shape = lozenge.staircase_for_hexagon(n)
@@ -363,7 +366,7 @@ def suite_hexagons(rng) -> list[CheckRecord]:
                 return False, f"(m={m}, n={n}, holes={holes}): both {both} != free {free}"
             if central != factor * twosided:
                 return False, f"(m={m}, n={n}, holes={holes}): central {central} != {factor} * {twosided}"
-        for m, n, x, holes in punctured_cases:
+        for m, n, x, holes in PUNCTURED_HEXAGON_CASES:
             shape = lozenge.staircase_for_punctured_hexagon(n, x)
             if not shape or any(h > len(shape) for h in holes):
                 continue

@@ -1,9 +1,22 @@
-"""Regions, brute-force tilers, hook constructions, and hexagons."""
+"""Regions, tilers, hook constructions, and hexagons.
 
+iter_tilings is the enumeration oracle: the transfer-matrix count and the
+orbit search for symmetric counts are checked against it.
+"""
+
+import itertools
+import json
+import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pathtiles
 from pathtiles.dag import Budget, BudgetExceeded
 from pathtiles.lozenge import (
     Cell,
@@ -29,7 +42,11 @@ from pathtiles.lozenge import (
     shifted_wedge_hook,
     staircase_for_hexagon,
     wedge_hook,
+    _symmetry_maps,
 )
+from pathtiles.verify import HEXAGON_CASES, PUNCTURED_HEXAGON_CASES, strict_partitions
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_cell_validation():
@@ -153,7 +170,7 @@ def test_hexagon_symmetric_counts():
     small = holed_hexagon(1, 1)
     assert count_symmetric_tilings(small, "central") == 1
     assert count_symmetric_tilings(small, "both") == 1
-    # Idempotence: filtering twice gives the same value.
+    # Repeated calls share no state.
     assert count_symmetric_tilings(small, "central") == count_symmetric_tilings(small, "central")
     box = holed_hexagon(1, 2)
     assert count_symmetric_tilings(box, "central") == 4
@@ -191,8 +208,6 @@ def test_punctured_hexagon_structure():
 
 
 def test_figure_scale_hexagons_build():
-    from pathtiles.lozenge import _symmetry_maps
-
     # Hexagon with vertical sides 8, slants 10, holes at labels 2 and 4 on
     # both ends: 8mn + 2n^2 cells minus four size-2 triangles.
     big = holed_hexagon(4, 10, (2, 4))
@@ -225,8 +240,6 @@ def test_tilings_cover_each_cell_once():
 
 
 def test_sample_tiling_is_valid():
-    import random
-
     region = holed_hexagon(1, 2)
     tiling = sample_tiling(region, random.Random(4))
     covered = sorted(c for cover in tiling for c in cover)
@@ -278,3 +291,111 @@ def test_region_json_round_trip():
     back_free = Region.from_json(free.to_json())
     assert back_free.free_edges == free.free_edges
     assert count_tilings(back_free) == 3
+
+
+def _enumerated_count(region, maps=()):
+    """Weighted count of the tilings fixed by every map, by enumeration."""
+    total = 0
+    for tiling in iter_tilings(region):
+        if all(frozenset(frozenset(map(f, cover)) for cover in tiling) == tiling for f in maps):
+            total += math.prod(region.weight_of(cover) for cover in tiling)
+    return total
+
+
+def _macmahon_box(a, b, c):
+    """Plane partitions in an a x b x c box, by MacMahon's product."""
+    value = Fraction(1)
+    for i, j, k in itertools.product(range(1, a + 1), range(1, b + 1), range(1, c + 1)):
+        value *= Fraction(i + j + k - 1, i + j + k - 2)
+    return value
+
+
+def test_count_tilings_matches_enumeration_on_hook_regions():
+    cases = 0
+    for shape in strict_partitions(3, 3):
+        hooks = range(1, len(shape) + 1)
+        for m in range(3):
+            for removed in itertools.chain.from_iterable(
+                itertools.combinations(hooks, r) for r in range(len(shape) + 1)
+            ):
+                for build in (free_hook_region, mirrored_hook_region):
+                    region = build(m, shape, removed)
+                    assert count_tilings(region) == _enumerated_count(region), (build, m, shape, removed)
+                    cases += 1
+    assert cases == 156
+
+
+def test_count_tilings_matches_macmahon_box():
+    # holed_hexagon(m, n) without holes is the 2m x n x n box.
+    assert count_tilings(holed_hexagon(3, 4)) == _macmahon_box(6, 4, 4) == 9343620
+    assert count_tilings(holed_hexagon(4, 6)) == _macmahon_box(8, 6, 6) == 469699956117392
+
+
+def test_count_tilings_budget_counts_live_states():
+    region = holed_hexagon(2, 4)
+    budget = Budget(10**6)
+    assert count_tilings(region, budget) == 232848
+    spent = budget.limit - budget.remaining
+    assert len(region) < spent < 232848  # live states per cell, not one per tiling
+    count_tilings(region, Budget(spent))
+    with pytest.raises(BudgetExceeded):
+        count_tilings(region, Budget(spent - 1))
+
+
+def test_count_symmetric_tilings_matches_filtered_enumeration():
+    regions = [holed_hexagon(*case) for case in HEXAGON_CASES]
+    regions += [punctured_hexagon(*case) for case in PUNCTURED_HEXAGON_CASES]
+    # A weighted one: every horizontal lozenge of a hexagon weighs 1/2, and
+    # the axis lozenges are fixed by the vertical symmetry.
+    box = holed_hexagon(1, 2)
+    horizontal = [frozenset((a, b)) for a in box.cells for b in cell_partners(a)
+                  if b in box.cells and a.orient == "L" and is_horizontal_pair(a, b)]
+    regions.append(Region(box.cells, (), {pair: Fraction(1, 2) for pair in horizontal}))
+    for region in regions:
+        assert len(region) <= 100
+        for mode in ("central", "vertical", "both"):
+            want = _enumerated_count(region, _symmetry_maps(region, mode))
+            assert count_symmetric_tilings(region, mode) == want, (sorted(region.cells)[:2], mode)
+
+
+def test_sample_tiling_keeps_its_seeded_tilings():
+    # Recorded covers: a seed must keep giving the same tiling, cover order included.
+    recorded = json.loads((DATA / "sample_tiling_covers.json").read_text())
+    for key, by_seed in recorded.items():
+        region = holed_hexagon(*map(int, key.split(",")))
+        for seed, want in enumerate(by_seed):
+            got = sample_tiling(region, random.Random(seed))
+            assert [sorted(map(list, cover)) for cover in got] == want, (key, seed)
+
+
+def test_large_region_ends_in_result_or_budget_failure():
+    region = holed_hexagon(14, 16)
+    assert len(region) == 2304
+    calls = [
+        lambda budget: count_tilings(region, budget),
+        lambda budget: count_symmetric_tilings(region, "central", budget),
+        lambda budget: count_symmetric_tilings(region, "both", budget),
+        lambda budget: sample_tiling(region, random.Random(0), budget),
+    ]
+    for call in calls:
+        try:
+            result = call(Budget(200_000))
+        except BudgetExceeded:
+            continue
+        if isinstance(result, list):
+            assert sorted(c for cover in result for c in cover) == region.sorted_cells()
+
+
+def test_tile_count_over_budget_is_reported(tmp_path):
+    path = tmp_path / "hexagon_14_16.json"
+    path.write_text(json.dumps(holed_hexagon(14, 16).to_json()))
+    src = str(Path(pathtiles.__file__).parents[1])
+    env = dict(os.environ, TILING_REFLECT_BUDGET="200000", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathtiles.cli", "tile", "count", "--region", str(path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -162,6 +162,16 @@ def test_constant_value():
         (1 + q).constant_value()
 
 
+def test_constants_hash_like_their_scalars():
+    for scalar in (2, Fraction(5, 3), 0):
+        constant = QtPolynomial({(0, 0): scalar})
+        assert constant == scalar
+        assert hash(constant) == hash(scalar)
+        assert len({constant, scalar}) == 1
+    assert QtPolynomial() == 0 and hash(QtPolynomial()) == hash(0)
+    assert hash(1 + q) == hash(q + 1)
+
+
 def _assert_packed_matches_schoolbook(a, b, packs=True):
     # packs=False: the operands may be too sparse to pack (None is allowed).
     expected = schoolbook(a, b)

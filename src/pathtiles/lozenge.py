@@ -242,8 +242,8 @@ def _flip(orient: str) -> str:
 
 
 def _symmetry_maps(region: Region, mode: str):
-    xs = [c.x for c in region.cells]
-    ys = [c.y for c in region.cells]
+    xs = [c.x for c in region.cells] or [0]  # every symmetry fixes the empty region
+    ys = [c.y for c in region.cells] or [0]
     sx = min(xs) + max(xs)
     sy = min(ys) + max(ys)
 

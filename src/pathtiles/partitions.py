@@ -7,12 +7,19 @@ partitions of the symmetrized shape.  The (q,t)-weight of a filling is
 q^(sum of off-diagonal entries) * t^(sum of diagonal entries); its square
 has a determinant formula through the weighted-lattice path matrix, whose
 entries are products of a power of t with a Gaussian binomial.
+
+Every enumeration runs on one filling engine: an explicit-stack odometer
+over the cells of a diagram, each bounded by its west and north neighbours,
+that spends one budget state per cell placed.  Symmetric fillings fill the
+whole symmetrized diagram with each cell below the diagonal repeating its
+mirror image, so no asymmetric filling is visited.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate, islice
 
 from .dag import Budget
 from .linalg import ExactMatrix, determinant, upper_twos
@@ -62,45 +69,77 @@ class ShiftedPlanePartition:
         return self.volume() - self.diagonal_sum()
 
 
-def enumerate_spp(m: int, shape):
-    """All shifted plane partitions of the shape with entries at most m.
-
-    Row-major backtracking; each cell is bounded by min(m, west, north), so
-    the stream has no rejected fillings.
-    """
-    shape = validate_strict_partition(shape)
+def _check_bound(m: int) -> None:
     if m < 0:
         raise ValueError("largest entry bound must be >= 0")
-    k = len(shape)
-    if k == 0:
-        yield ShiftedPlanePartition((), ())
-        return
-    rows: list[list[int]] = [[] for _ in range(k)]
 
-    def cell_bound(a: int, b: int) -> int:
-        bound = m
-        if b > 0:
-            bound = min(bound, rows[a][b - 1])
-        if a > 0:
-            j = (a + 1) + b  # column index of cell (a+1, j), 1-based
-            bound = min(bound, rows[a - 1][j - a])
-        return bound
 
-    def rec(a: int, b: int):
-        if a == k:
-            yield ShiftedPlanePartition(shape, tuple(tuple(r) for r in rows))
+def _fillings(m: int, plan, budget: Budget | None = None):
+    """Every filling of the planned cells with entries in 0..m, each entry
+    at most its west and north neighbours, largest entries first.
+
+    plan[i] = (west, north, source): indices of earlier cells, len(plan) for
+    a missing neighbour, and source None for a free cell.  A cell with a
+    source repeats that cell's entry and is only checked against its bounds.
+    The search is an explicit odometer spending one budget state per cell
+    placed; each filling is a fresh list in plan order.
+    """
+    _check_bound(m)
+    spend = (budget if budget is not None else Budget()).spend
+    n = len(plan)
+    vals = [0] * n + [m]
+    free = [s is None for _, _, s in plan]
+    i = 0
+    while True:
+        while i < n:  # place each later cell at its largest admissible value
+            west, north, source = plan[i]
+            bound = vals[west] if vals[west] < vals[north] else vals[north]
+            value = bound if source is None else vals[source]
+            if value > bound:
+                break
+            spend()
+            vals[i] = value
+            i += 1
+        else:
+            yield vals[:n]
+        i -= 1  # back to the last free cell that can still decrease
+        while i >= 0 and not (free[i] and vals[i]):
+            i -= 1
+        if i < 0:
             return
-        nxt = (a, b + 1) if b + 1 < shape[a] else (a + 1, 0)
-        for v in range(cell_bound(a, b), -1, -1):
-            rows[a].append(v)
-            yield from rec(*nxt)
-            rows[a].pop()
-
-    yield from rec(0, 0)
+        spend()
+        vals[i] -= 1
+        i += 1
 
 
-def spp_count(m: int, shape) -> int:
-    return sum(1 for _ in enumerate_spp(m, shape))
+def _plan(shape, shifted: bool = False, mirrored: bool = False):
+    """Engine plan of a shape's cells row by row; row r starts in column r
+    when shifted, and when mirrored each cell below the diagonal repeats
+    its mirror image."""
+    cells = [(r, c) for r, part in enumerate(shape) for c in range(r * shifted, r * shifted + part)]
+    index = {cell: i for i, cell in enumerate(cells)}
+    n = len(cells)
+    return [
+        (index.get((r, c - 1), n), index.get((r - 1, c), n), index[c, r] if mirrored and c < r else None)
+        for r, c in cells
+    ]
+
+
+def _rows(values, shape) -> tuple[tuple[int, ...], ...]:
+    it = iter(values)
+    return tuple(tuple(islice(it, part)) for part in shape)
+
+
+def enumerate_spp(m: int, shape, budget: Budget | None = None):
+    """All shifted plane partitions of the shape with entries at most m."""
+    shape = validate_strict_partition(shape)
+    for values in _fillings(m, _plan(shape, shifted=True), budget):
+        yield ShiftedPlanePartition(shape, _rows(values, shape))
+
+
+def spp_count(m: int, shape, budget: Budget | None = None) -> int:
+    shape = validate_strict_partition(shape)
+    return sum(1 for _ in _fillings(m, _plan(shape, shifted=True), budget))
 
 
 def symmetrize_shape(shape) -> tuple[int, ...]:
@@ -110,28 +149,17 @@ def symmetrize_shape(shape) -> tuple[int, ...]:
     are forced by symmetry (row length = number of earlier rows reaching
     column i).
     """
-    shape = validate_strict_partition(shape)
-    k = len(shape)
-    if k == 0:
-        return ()
-    arm = [shape[i - 1] + i - 1 for i in range(1, k + 1)]
-    total_rows = arm[0]
-    out = list(arm)
-    for i in range(k + 1, total_rows + 1):
-        out.append(sum(1 for length in arm if length >= i))
-    return tuple(out)
+    arm = [part + i for i, part in enumerate(validate_strict_partition(shape))]
+    below = range(len(arm) + 1, max(arm, default=0) + 1)
+    return tuple(arm) + tuple(sum(1 for length in arm if length >= i) for i in below)
 
 
 def to_symmetric_plane_partition(spp: ShiftedPlanePartition) -> tuple[tuple[int, ...], ...]:
     """Reflect a shifted filling across the diagonal into a symmetric one."""
-    sym_shape = symmetrize_shape(spp.shape)
-    out = []
-    for i in range(1, len(sym_shape) + 1):
-        row = []
-        for j in range(1, sym_shape[i - 1] + 1):
-            row.append(spp.entry(i, j) if j >= i else spp.entry(j, i))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(spp.entry(i, j) if j >= i else spp.entry(j, i) for j in range(1, length + 1))
+        for i, length in enumerate(symmetrize_shape(spp.shape), start=1)
+    )
 
 
 def shifted_from_symmetric(pp) -> ShiftedPlanePartition:
@@ -158,82 +186,60 @@ def qt_weight(spp: ShiftedPlanePartition) -> QtPolynomial:
     return QtPolynomial({(spp.off_diagonal_sum(), spp.diagonal_sum()): 1})
 
 
-def qt_gf_enumerated(m: int, shape) -> QtPolynomial:
+def qt_gf_enumerated(m: int, shape, budget: Budget | None = None) -> QtPolynomial:
     """The (q,t)-generating function by direct enumeration (the oracle)."""
-    total = QtPolynomial()
-    for spp in enumerate_spp(m, shape):
-        total = total + qt_weight(spp)
-    return total
+    shape = validate_strict_partition(shape)
+    diagonal = list(accumulate(shape, initial=0))[:-1]  # first cell of each row
+    counts = Counter()
+    for values in _fillings(m, _plan(shape, shifted=True), budget):
+        t_exp = sum(map(values.__getitem__, diagonal))
+        counts[sum(values) - t_exp, t_exp] += 1
+    return QtPolynomial(counts)
 
 
-def spp_volume_gf(m: int, shape) -> QtPolynomial:
+def _volume_gf(fillings) -> QtPolynomial:
+    return QtPolynomial({(v, 0): c for v, c in Counter(map(sum, fillings)).items()})
+
+
+def spp_volume_gf(m: int, shape, budget: Budget | None = None) -> QtPolynomial:
     """Volume generating function of shifted fillings, enumerated directly."""
-    total = QtPolynomial()
-    for spp in enumerate_spp(m, shape):
-        total = total + QtPolynomial({(spp.volume(), 0): 1})
-    return total
+    shape = validate_strict_partition(shape)
+    return _volume_gf(_fillings(m, _plan(shape, shifted=True), budget))
 
 
-def enumerate_plane_partitions(m: int, shape):
-    """All plane partitions of an arbitrary partition shape, entries <= m."""
+def _validate_partition(shape) -> tuple[int, ...]:
     shape = tuple(int(p) for p in shape)
     if any(a < b for a, b in zip(shape, shape[1:])) or any(p < 1 for p in shape):
         raise ValueError("shape must be a partition")
-    k = len(shape)
-    if k == 0:
-        yield ()
-        return
-    rows: list[list[int]] = [[] for _ in range(k)]
-
-    def rec(a: int, b: int):
-        if a == k:
-            yield tuple(tuple(r) for r in rows)
-            return
-        bound = m
-        if b > 0:
-            bound = min(bound, rows[a][b - 1])
-        if a > 0:
-            bound = min(bound, rows[a - 1][b])
-        nxt = (a, b + 1) if b + 1 < shape[a] else (a + 1, 0)
-        for v in range(bound, -1, -1):
-            rows[a].append(v)
-            yield from rec(*nxt)
-            rows[a].pop()
-
-    yield from rec(0, 0)
+    return shape
 
 
-def pp_sym_volume_gf(m: int, sym_shape) -> QtPolynomial:
-    """Volume GF of symmetric plane partitions, by enumerate-and-filter.
+def enumerate_plane_partitions(m: int, shape, budget: Budget | None = None):
+    """All plane partitions of an arbitrary partition shape, entries <= m."""
+    shape = _validate_partition(shape)
+    for values in _fillings(m, _plan(shape), budget):
+        yield _rows(values, shape)
 
-    Independent of the shifted-partition route: plain plane partitions of the
-    symmetric shape are enumerated and the asymmetric ones discarded.
+
+def pp_sym_volume_gf(m: int, sym_shape, budget: Budget | None = None) -> QtPolynomial:
+    """Volume GF of symmetric plane partitions of a symmetric shape.
+
+    Fills the whole diagram rather than the shifted half, each cell below
+    the diagonal repeating its mirror image, so only symmetric fillings are
+    visited.  An asymmetric shape has none.
     """
-    total = QtPolynomial()
-    for pp in enumerate_plane_partitions(m, sym_shape):
-        if _is_symmetric_filling(pp):
-            volume = sum(sum(row) for row in pp)
-            total = total + QtPolynomial({(volume, 0): 1})
-    return total
-
-
-def _is_symmetric_filling(pp) -> bool:
-    for i, row in enumerate(pp, start=1):
-        for j in range(1, len(row) + 1):
-            if j <= len(pp) and len(pp[j - 1]) >= i:
-                if row[j - 1] != pp[j - 1][i - 1]:
-                    return False
-            else:
-                return False
-    return True
+    shape = _validate_partition(sym_shape)
+    _check_bound(m)
+    if shape != tuple(sum(1 for p in shape if p > c) for c in range(max(shape, default=0))):
+        return QtPolynomial()
+    return _volume_gf(_fillings(m, _plan(shape, mirrored=True), budget))
 
 
 def qt_path_matrix(m: int, shape) -> ExactMatrix:
     """Path matrix of the (q,t)-weighted lattice: row i, column j carries
     t^(m+i-j) * qbinomial(p_i - 1 + m + i - j, m + i - j)."""
     shape = validate_strict_partition(shape)
-    if m < 0:
-        raise ValueError("largest entry bound must be >= 0")
+    _check_bound(m)
     k = len(shape)
     rows = []
     for i, part in enumerate(shape, start=1):
@@ -311,18 +317,11 @@ def check_count_identity(m: int, shape, budget: Budget | None = None) -> bool:
     """Squared shifted count == squared symmetric count == 2^k * two-sided GF.
 
     Counts come from enumeration; the two-sided tiling GF is evaluated both
-    by the brute-force tiler and by the determinant formula.
+    by the transfer-matrix tiler and by the determinant formula.
     """
     shape = validate_strict_partition(shape)
-    k = len(shape)
-    spp = spp_count(m, shape)
-    sym = sum(
-        1 for pp in enumerate_plane_partitions(m, symmetrize_shape(shape)) if _is_symmetric_filling(pp)
-    )
+    spp = spp_count(m, shape, budget)
+    sym = sum(1 for _ in _fillings(m, _plan(symmetrize_shape(shape), mirrored=True), budget))
     gf_formula = mirrored_tiling_gf_formula(m, shape)
     gf_tiler = count_tilings(mirrored_hook_region(m, shape), budget)
-    return (
-        spp == sym
-        and gf_formula == gf_tiler
-        and Fraction(spp) ** 2 == 2**k * Fraction(gf_formula)
-    )
+    return spp == sym and gf_formula == gf_tiler and spp**2 == 2 ** len(shape) * gf_formula

@@ -1,9 +1,14 @@
 """Command-line interface behavior and external file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pathtiles
 from pathtiles.cli import main
 from pathtiles.dag import WeightedDag, grid_graph, path_gf
 from pathtiles.lozenge import holed_hexagon, mirrored_hook_region
@@ -57,6 +62,44 @@ def test_spp_gf_rejects_negative_bound(capsys, method):
     assert "largest entry bound must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["q-spp", "q-sym"])
+def test_spp_gf_volume_modes_reject_negative_bound(capsys, mode):
+    argv = ["spp", "gf", "--m", "-1", "--shape", "3,1", "--mode", mode, "--method", "enum"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "largest entry bound must be >= 0" in captured.err
+
+
+def test_spp_gf_long_row(capsys):
+    assert main(["spp", "gf", "--m", "0", "--shape", "1200", "--mode", "q-sym", "--method", "enum"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+def _run_module(args, **env):
+    src = str(Path(pathtiles.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "pathtiles", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src, **env), timeout=300,
+    )
+
+
+def test_module_entry_point():
+    proc = _run_module(["--help"])
+    assert proc.returncode == 0
+    assert "usage: pathtiles" in proc.stdout
+
+
+def test_readme_symmetric_example_stops_at_the_budget():
+    args = ["spp", "gf", "--m", "6", "--shape", "9,7,6,3,2", "--mode", "q-sym", "--method", "both"]
+    proc = _run_module(args, TILING_REFLECT_BUDGET="20000")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_spp_gf_subcommand_alias(capsys):
     assert main(["spp", "gf", "--m", "1", "--shape", "1", "--mode", "qt", "--method", "enum"]) == 0
     assert capsys.readouterr().out.strip() == "1 + t"
@@ -77,6 +120,16 @@ def test_tiling_count(capsys, hexagon_file):
 def test_tile_verify(capsys, hexagon_file):
     assert main(["tile", "verify", "--region", hexagon_file]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "action, out", [("count", "1\n"), ("verify", "central=1 central+vertical=1 PASS\n")]
+)
+def test_empty_region(tmp_path, capsys, action, out):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"cells": []}))
+    assert main(["tile", action, "--region", str(path)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_tile_render(tmp_path, capsys, hexagon_file):

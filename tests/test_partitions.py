@@ -1,9 +1,15 @@
 """Shifted/symmetric plane partitions and their generating functions."""
 
+import ast
+import inspect
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from pathtiles import partitions
+from pathtiles.dag import Budget, BudgetExceeded
 from pathtiles.lozenge import count_tilings, mirrored_hook_region, mirrored_tiling_gf_formula
 from pathtiles.partitions import (
     ShiftedPlanePartition,
@@ -24,6 +30,7 @@ from pathtiles.partitions import (
     volume_gf,
 )
 from pathtiles.ring import QtPolynomial, q, qbinomial, t
+from pathtiles.verify import strict_partitions
 
 
 def test_spp_validation():
@@ -186,3 +193,172 @@ def test_count_identity_examples():
     assert check_count_identity(1, (1,))
     assert check_count_identity(1, (2,))
     assert check_count_identity(2, (3, 1))
+
+
+# ---------------------------------------------------------------------------
+# Oracles that share no code with the filling engine
+# ---------------------------------------------------------------------------
+
+
+def brute_fillings(m, cells):
+    """Every map from the (row, column) cells to 0..m that weakly decreases
+    along rows and down columns, by trying all (m+1)^len(cells) maps."""
+    cells = sorted(cells)
+    for values in itertools.product(range(m + 1), repeat=len(cells)):
+        f = dict(zip(cells, values))
+        if all(v >= f.get((i, j + 1), -1) and v >= f.get((i + 1, j), -1) for (i, j), v in f.items()):
+            yield f
+
+
+def shifted_cells(shape):
+    return {(i, j) for i, part in enumerate(shape, start=1) for j in range(i, part + i)}
+
+
+def symmetric_cells(shape):
+    return shifted_cells(shape) | {(j, i) for i, j in shifted_cells(shape)}
+
+
+def volume_terms(fillings):
+    return {(v, 0): c for v, c in Counter(sum(f.values()) for f in fillings).items()}
+
+
+SMALL_STRICT_SHAPES = [()] + strict_partitions(3, 2)
+
+
+@pytest.mark.parametrize("shape", SMALL_STRICT_SHAPES)
+def test_oracles_match_brute_force_over_all_fillings(shape):
+    for m in range(3):
+        shifted = list(brute_fillings(m, shifted_cells(shape)))
+        qt = Counter(
+            (sum(v for (i, j), v in f.items() if i != j), sum(v for (i, j), v in f.items() if i == j))
+            for f in shifted
+        )
+        assert qt_gf_enumerated(m, shape).terms() == dict(qt)
+        assert spp_volume_gf(m, shape).terms() == volume_terms(shifted)
+        assert spp_count(m, shape) == len(shifted)
+        assert sorted(p.rows for p in enumerate_spp(m, shape)) == sorted(
+            tuple(tuple(f[i, j] for j in range(i, part + i)) for i, part in enumerate(shape, start=1))
+            for f in shifted
+        )
+        cells = symmetric_cells(shape)
+        sym_shape = symmetrize_shape(shape)
+        assert sorted(cells) == [(i, j) for i, row in enumerate(sym_shape, 1) for j in range(1, row + 1)]
+        plane = list(brute_fillings(m, cells))
+        assert sum(1 for _ in enumerate_plane_partitions(m, sym_shape)) == len(plane)
+        symmetric = [f for f in plane if all(f[i, j] == f[j, i] for i, j in f)]
+        assert pp_sym_volume_gf(m, sym_shape).terms() == volume_terms(symmetric)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def andrews_symmetric_box(n, c):
+    """Coefficient list of Andrews' product (the MacMahon conjecture) for
+    symmetric plane partitions in an n x n x c box, by exact division."""
+    num, den = [1], [1]
+    factors = [(c + 2 * i - 1, 2 * i - 1) for i in range(1, n + 1)]
+    factors += [(2 * (c + i + j - 1), 2 * (i + j - 1)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for top, bottom in factors:
+        num = _poly_mul(num, [1] + [0] * (top - 1) + [-1])
+        den = _poly_mul(den, [1] + [0] * (bottom - 1) + [-1])
+    quotient = []
+    for k in range(len(num)):
+        quotient.append(num[k] - sum(den[j] * quotient[k - j] for j in range(1, min(k, len(den) - 1) + 1)))
+    assert _poly_mul(quotient, den)[: len(num)] == num  # the division is exact
+    while quotient and quotient[-1] == 0:
+        quotient.pop()
+    return quotient
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_symmetric_volume_gf_matches_andrews_box_product(n):
+    staircase = tuple(range(n, 0, -1))
+    square = symmetrize_shape(staircase)
+    assert square == (n,) * n
+    for c in range(5):
+        want = {(v, 0): a for v, a in enumerate(andrews_symmetric_box(n, c)) if a}
+        assert pp_sym_volume_gf(c, square).terms() == want
+
+
+def _is_symmetric(pp):
+    return all(
+        j < len(pp) and i < len(pp[j]) and v == pp[j][i] for i, row in enumerate(pp) for j, v in enumerate(row)
+    )
+
+
+def test_symmetric_volume_gf_matches_enumerate_and_filter_at_verify_sizes():
+    for shape in strict_partitions(4, 3):
+        sym_shape = symmetrize_shape(shape)
+        for m in range(4):
+            kept = Counter(
+                sum(map(sum, pp)) for pp in enumerate_plane_partitions(m, sym_shape) if _is_symmetric(pp)
+            )
+            assert pp_sym_volume_gf(m, sym_shape).terms() == {(v, 0): c for v, c in kept.items()}
+
+
+def test_asymmetric_shape_has_no_symmetric_filling():
+    assert pp_sym_volume_gf(2, (2, 1, 1)) == 0
+    with pytest.raises(ValueError, match="largest entry bound"):
+        pp_sym_volume_gf(-1, (2, 1, 1))
+
+
+def test_long_rows_do_not_recurse():
+    assert spp_count(0, (3000,)) == 1
+    assert pp_sym_volume_gf(0, symmetrize_shape((1200,))) == 1
+
+
+def test_no_function_in_partitions_recurses():
+    tree = ast.parse(inspect.getsource(partitions))
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            called = {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            assert fn.name not in called, fn.name
+
+
+def test_repeated_cell_is_checked_against_its_bounds():
+    # Cell 1 is at most cell 0 (west); cell 2 repeats cell 0 but sits east
+    # of cell 1, so only fillings with equal first two cells survive.
+    plan = [(3, 3, None), (0, 3, None), (1, 3, 0)]
+    assert list(partitions._fillings(2, plan)) == [[2, 2, 2], [1, 1, 1], [0, 0, 0]]
+
+
+# ---------------------------------------------------------------------------
+# Budgets
+# ---------------------------------------------------------------------------
+
+
+def test_budget_counts_cells_placed():
+    # Fillings (1,1), (1,0), (0,0): cells are placed 2 + 1 + 2 = 5 times.
+    assert spp_count(1, (2,), Budget(5)) == 3
+    with pytest.raises(BudgetExceeded):
+        spp_count(1, (2,), Budget(4))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: list(enumerate_spp(4, (5, 3, 1), b)),
+        lambda b: list(enumerate_plane_partitions(4, (4, 4, 3), b)),
+        lambda b: spp_count(4, (5, 3, 1), b),
+        lambda b: qt_gf_enumerated(4, (5, 3, 1), b),
+        lambda b: spp_volume_gf(4, (5, 3, 1), b),
+        lambda b: pp_sym_volume_gf(4, symmetrize_shape((5, 3, 1)), b),
+        lambda b: check_count_identity(4, (5, 3, 1), b),
+    ],
+    ids=["enumerate_spp", "enumerate_plane_partitions", "spp_count", "qt_gf_enumerated",
+         "spp_volume_gf", "pp_sym_volume_gf", "check_count_identity"],
+)
+def test_every_partition_oracle_is_budgeted(call):
+    with pytest.raises(BudgetExceeded):
+        call(Budget(1000))
+
+
+def test_default_budget_reads_the_environment(monkeypatch):
+    monkeypatch.setenv("TILING_REFLECT_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded, match="budget of 1000 states"):
+        spp_volume_gf(6, (9, 7, 6, 3, 2))

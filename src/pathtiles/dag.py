@@ -115,6 +115,10 @@ class WeightedDag:
 
     @classmethod
     def from_json(cls, doc) -> tuple["WeightedDag", "EndpointSpec | None"]:
+        edge_ends = [e[key] for e in doc["edges"] for key in ("from", "to")]
+        for v in [*doc["vertices"], *edge_ends, *(doc.get("starts") or ()), *(doc.get("ends") or ())]:
+            if not isinstance(v, (str, int)):
+                raise ValueError(f"vertex id {v!r} must be a string or an integer")
         g = cls(
             doc["vertices"],
             [(e["from"], e["to"], parse_scalar(str(e.get("w", "1")))) for e in doc["edges"]],

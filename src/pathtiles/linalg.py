@@ -3,9 +3,9 @@
 Dense matrices over any commutative ring of int / Fraction / QtPolynomial
 entries, with exact determinants, Pfaffians of skew-symmetric matrices, and
 sums of maximum minors of rectangular matrices.  Determinants dispatch on the
-entry types: fraction-free Bareiss elimination for numeric entries,
-division-free column-subset dynamic programming for polynomial ones
-(polynomial rings have no cheap exact division; target orders are small).
+entry types: fraction-free Bareiss elimination for numeric entries, and
+``division_free_determinant`` for polynomial ones, because polynomial rings
+have no cheap exact division.
 
 Bareiss elimination (E. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 1968) runs on ints:
@@ -13,6 +13,14 @@ each row is first multiplied by the lcm of its denominators, the
 elimination divides exactly by the previous pivot, and the result is divided
 by the product of the row scales.  A numeric determinant is therefore an int
 when it is integral and a Fraction only when it is not.
+
+``division_free_determinant`` is a Laplace expansion over column subsets:
+O(2^n * n) ring products and no division, so it is exponential in the order
+and capped at order 20.  Callers that evaluate a polynomial determinant at a
+Kronecker point (ring.kronecker_pack) call it directly on the packed ints:
+their entries run to thousands of bits, and CPython's exact ``//`` on such
+ints is quadratic in their length, so at the orders used (up to about 8)
+Bareiss' n^3 divisions cost more than the DP's products.
 """
 
 from __future__ import annotations
@@ -116,6 +124,12 @@ class ExactMatrix:
 
     @classmethod
     def from_lists(cls, data) -> "ExactMatrix":
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError("matrix must be an array of rows")
+        for i, row in enumerate(data):
+            for j, s in enumerate(row):
+                if not isinstance(s, str):
+                    raise ValueError(f"matrix entry ({i},{j}) is {s!r}; entries must be scalar strings")
         return cls.from_rows([[parse_scalar(s) for s in row] for row in data])
 
 
@@ -131,7 +145,7 @@ def determinant(matrix: ExactMatrix):
         return 1
     if _is_numeric(matrix._entries):
         return _det_bareiss(matrix)
-    return _det_subset_dp(matrix)
+    return division_free_determinant(matrix)
 
 
 def _det_bareiss(matrix: ExactMatrix):
@@ -165,9 +179,12 @@ def _det_bareiss(matrix: ExactMatrix):
     return det // scale if det % scale == 0 else Fraction(det, scale)
 
 
-def _det_subset_dp(matrix: ExactMatrix):
-    # Laplace expansion organized over column subsets: O(2^n * n) ring ops.
+def division_free_determinant(matrix: ExactMatrix):
+    """Determinant by Laplace expansion over column subsets: O(2^n * n)
+    ring products, no division, order <= 20."""
     n = matrix.rows
+    if matrix.cols != n:
+        raise ValueError(f"determinant of non-square {n}x{matrix.cols} matrix")
     if n > 20:
         raise ValueError("division-free determinant limited to order <= 20")
     state = {0: 1}
@@ -175,7 +192,7 @@ def _det_subset_dp(matrix: ExactMatrix):
         nxt = {}
         for mask, value in state.items():
             cols = [j for j in range(n) if mask >> j & 1]
-            for p, j in enumerate(_free_columns(mask, n)):
+            for j in _free_columns(mask, n):
                 term = value * matrix.entry(r, j)
                 # Position of j within the enlarged, sorted subset.
                 pos = sum(1 for c in cols if c < j)
@@ -183,6 +200,25 @@ def _det_subset_dp(matrix: ExactMatrix):
                     term = -term
                 key = mask | (1 << j)
                 nxt[key] = nxt.get(key, 0) + term
+        state = nxt
+    return state[(1 << n) - 1]
+
+
+def permanent(matrix: ExactMatrix):
+    """Permanent of a square matrix by the same column-subset expansion,
+    unsigned; order <= 20."""
+    n = matrix.rows
+    if matrix.cols != n:
+        raise ValueError(f"permanent of non-square {n}x{matrix.cols} matrix")
+    if n > 20:
+        raise ValueError("permanent limited to order <= 20")
+    state = {0: 1}
+    for r in range(n):
+        nxt = {}
+        for mask, value in state.items():
+            for j in _free_columns(mask, n):
+                key = mask | (1 << j)
+                nxt[key] = nxt.get(key, 0) + value * matrix.entry(r, j)
         state = nxt
     return state[(1 << n) - 1]
 

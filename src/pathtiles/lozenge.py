@@ -472,11 +472,15 @@ def free_tiling_count_formula(m: int, shape, removed=()):
 
 
 def mirrored_tiling_gf_formula(m: int, shape, removed=()):
-    """Two-sided tiling generating function as det[M (U/2) M^T]."""
+    """Two-sided tiling generating function as det[M (U/2) M^T].
+
+    Evaluated as det[M U M^T] / 2^rows, so the matrix products stay on ints.
+    """
     shape = validate_strict_partition(shape)
     z = binomial_path_matrix(m, shape, removed)
-    u = Fraction(1, 2) * upper_twos(z.cols)
-    return determinant(z * u * z.transpose())
+    d = determinant(z * upper_twos(z.cols) * z.transpose())
+    s = 2**z.rows
+    return d // s if d % s == 0 else Fraction(d, s)
 
 
 def square_identity_values(m: int, shape, removed=(), budget: Budget | None = None) -> dict:

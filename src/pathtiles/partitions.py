@@ -6,7 +6,10 @@ columns.  Reflecting across the main diagonal gives the symmetric plane
 partitions of the symmetrized shape.  The (q,t)-weight of a filling is
 q^(sum of off-diagonal entries) * t^(sum of diagonal entries); its square
 has a determinant formula through the weighted-lattice path matrix, whose
-entries are products of a power of t with a Gaussian binomial.
+entries are products of a power of t with a Gaussian binomial.  The volume
+GFs specialize it to (q, t) -> (q, q) and (q^2, q).  A specialization
+(q^s, q) is Kronecker packing at stride s, so ``volume_gf`` packs each
+path-matrix entry once into a big int and evaluates the determinant on ints.
 
 Every enumeration runs on one filling engine: an explicit-stack odometer
 over the cells of a diagram, each bounded by its west and north neighbours,
@@ -22,14 +25,14 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 
 from .dag import Budget
-from .linalg import ExactMatrix, determinant, upper_twos
+from .linalg import ExactMatrix, determinant, division_free_determinant, permanent, upper_twos
 from .lozenge import (
     count_tilings,
     mirrored_hook_region,
     mirrored_tiling_gf_formula,
     validate_strict_partition,
 )
-from .ring import QtPolynomial, qbinomial
+from .ring import QtPolynomial, kronecker_pack, kronecker_unpack, qbinomial, slot_width
 
 
 @dataclass(frozen=True)
@@ -260,29 +263,39 @@ def qt_gf_determinant(m: int, shape) -> QtPolynomial:
 
 
 def volume_gf(m: int, shape, which: str) -> QtPolynomial:
-    """Squared volume GF via the specialized determinant.
+    """Squared volume GF via the specialized determinant det[Z U Z^T].
 
-    which = "spp" substitutes (q, t) -> (q, q) and equals the squared volume
-    GF of the shifted fillings; which = "pp_sym" substitutes
-    (q, t) -> (q^2, q) and equals the squared volume GF of the symmetric
-    fillings of the symmetrized shape.
+    which = "spp" specializes (q, t) -> (q, q) and equals the squared volume
+    GF of the shifted fillings; which = "pp_sym" specializes (q, t) ->
+    (q^2, q) and equals the squared volume GF of the symmetric fillings of
+    the symmetrized shape.  The specialization (q, t) -> (q^s, q) is
+    Kronecker packing at stride s: every entry of the path matrix is packed
+    once at q = X^s, t = X for one big power of two X, and the whole
+    formula is evaluated on those ints, so the result is unpacked once.
     """
-    shape = validate_strict_partition(shape)
-    if which == "spp":
-        images = (QtPolynomial({(1, 0): 1}), QtPolynomial({(1, 0): 1}))
-    elif which == "pp_sym":
-        images = (QtPolynomial({(2, 0): 1}), QtPolynomial({(1, 0): 1}))
-    else:
+    stride = {"spp": 1, "pp_sym": 2}.get(which)
+    if stride is None:
         raise ValueError("which must be 'spp' or 'pp_sym'")
     z = qt_path_matrix(m, shape)
-    entries = [
-        QtPolynomial.from_scalar(z.entry(i, j)).substitute(*images)
-        for i in range(z.rows)
-        for j in range(z.cols)
-    ]
-    z = ExactMatrix(z.rows, z.cols, entries)
-    value = determinant(z * upper_twos(z.cols) * z.transpose())
-    return QtPolynomial.from_scalar(value)
+    u = upper_twos(z.cols)
+    # Each entry is a power of t times a polynomial in q, so no two of its
+    # terms share a slot at any stride.
+    rows = [[e.terms() for e in z.row(i)] for i in range(z.rows)]
+    tops = [max((stride * eq + et for e in row for eq, et in e), default=0) for row in rows]
+    # Gram entry (i, j) has degree <= tops[i] + tops[j].
+    degree = 2 * sum(tops)
+    # L1 norms are subadditive and submultiplicative and U >= 0, so every
+    # |coefficient| <= L1(det) <= permanent of the Gram matrix of norms.
+    norms = ExactMatrix(z.rows, z.cols, [sum(map(abs, e.values())) for row in rows for e in row])
+    width = slot_width(permanent(norms * u * norms.transpose()))
+    # Permuting the rows of Z leaves det[Z U Z^T] unchanged.  The DP
+    # multiplies each row into every minor of the rows before it, so the
+    # rows with the shortest entries go first.
+    order = sorted(range(z.rows), key=tops.__getitem__)
+    packed = ExactMatrix(z.rows, z.cols, [kronecker_pack(e, stride, width) for i in order for e in rows[i]])
+    value = division_free_determinant(packed * u * packed.transpose())
+    coeffs = kronecker_unpack(value, degree + 1, width)
+    return QtPolynomial({(e, 0): c for e, c in enumerate(coeffs) if c})
 
 
 def lattice_path_gf(a: int, b: int, c: int, d: int) -> QtPolynomial:

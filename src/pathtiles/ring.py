@@ -13,8 +13,11 @@ Products of two integer polynomials with many term pairs use Kronecker
 substitution (D. Harvey, "Faster polynomial multiplication via multipoint
 Kronecker substitution", J. Symbolic Comput. 2009): both operands are packed
 into one big integer each, multiplied once, and unpacked.  Rational, small
-and very sparse products use the schoolbook dict loop.  Everything is
-immutable after construction, so values can be shared freely.
+and very sparse products use the schoolbook dict loop.  The byte-slot packer
+and unpacker (``kronecker_pack``, ``kronecker_unpack``, ``slot_width``) are
+public because whole formulas are evaluated the same way: the volume GFs of
+``partitions`` pack every matrix entry once and unpack only the result.
+Everything is immutable after construction, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -215,9 +218,7 @@ def _mul_packed(a: dict, b: dict) -> dict | None:
     Term (e_q, e_t) goes to slot e_q * stride + e_t with stride =
     deg_t(a) + deg_t(b) + 1, so product exponents never carry across slots.
     Every slot is wide enough for any product coefficient plus a sign bit:
-    |c| <= max|a| * max|b| * min(|a|, |b|).  Adding 2^(w-1) to every slot
-    of the signed product makes all slots nonnegative, so the bytes of the
-    biased product are the slots themselves.
+    |c| <= max|a| * max|b| * min(|a|, |b|).
 
     Returns None when the product has more slots than term pairs: unpacking
     visits every slot, so the dict loop does less work on such sparse input.
@@ -226,24 +227,25 @@ def _mul_packed(a: dict, b: dict) -> dict | None:
     slots = (max(eq for eq, _ in a) + max(eq for eq, _ in b) + 1) * stride
     if slots > len(a) * len(b):
         return None
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
-    size = slots * width
-    bias = (b"\0" * (width - 1) + b"\x80") * slots
-    product = _pack(a, stride, width) * _pack(b, stride, width)
-    data = (product + int.from_bytes(bias, "little")).to_bytes(size, "little")
-    half = 1 << (8 * width - 1)
-    out = {}
-    for start in range(0, size, width):
-        c = int.from_bytes(data[start : start + width], "little") - half
-        if c:
-            out[divmod(start // width, stride)] = c
-    return out
+    width = slot_width(max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)))
+    product = kronecker_pack(a, stride, width) * kronecker_pack(b, stride, width)
+    coeffs = kronecker_unpack(product, slots, width)
+    return {divmod(i, stride): c for i, c in enumerate(coeffs) if c}
 
 
-def _pack(terms: dict, stride: int, width: int) -> int:
-    """The terms evaluated at q = 2^(8 * width * stride), t = 2^(8 * width)."""
-    size = (max(eq * stride + et for eq, et in terms) + 1) * width
+def slot_width(bound: int) -> int:
+    """Bytes per slot for signed coefficients of absolute value <= bound."""
+    return (bound.bit_length() + 8) // 8
+
+
+def kronecker_pack(terms: dict, stride: int, width: int) -> int:
+    """The terms evaluated at q = X^stride, t = X with X = 2^(8 * width).
+
+    Term (e_q, e_t) lands in slot e_q * stride + e_t; no two terms may share
+    a slot, and every |c| must be below 2^(8 * width - 1).  An empty term
+    map packs to 0.
+    """
+    size = (max((eq * stride + et for eq, et in terms), default=-1) + 1) * width
     pos, neg = bytearray(size), bytearray(size)
     for (eq, et), c in terms.items():
         i = (eq * stride + et) * width
@@ -252,6 +254,21 @@ def _pack(terms: dict, stride: int, width: int) -> int:
         else:
             neg[i : i + width] = (-c).to_bytes(width, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def kronecker_unpack(value: int, slots: int, width: int) -> list[int]:
+    """Coefficients of slots 0 .. slots - 1 of a packed value, inverse to
+    kronecker_pack for any polynomial of degree < slots whose coefficients
+    fit the slot width.
+
+    Adding 2^(8 * width - 1) to every slot makes all slots nonnegative, so
+    the bytes of the biased value are the slots themselves.
+    """
+    size = slots * width
+    bias = int.from_bytes((b"\0" * (width - 1) + b"\x80") * slots, "little")
+    data = (value + bias).to_bytes(size, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, size, width)]
 
 
 def _format_monomial(coeff: Fraction, eq: int, et: int) -> str:

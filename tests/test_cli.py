@@ -165,6 +165,44 @@ def test_pfaffian_from_file(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "q"
 
 
+def test_pfaffian_of_bare_json_numbers_is_a_usage_error(tmp_path):
+    path = tmp_path / "numbers.json"
+    path.write_text(json.dumps([[0, 1], [-1, 0]]))
+    proc = _run_module(["compute", "pfaffian", "--matrix", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: matrix entry (0,0)")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+LIST_ID_GRAPHS = [
+    {"vertices": [[0, 0], [0, 1]], "edges": [{"from": [0, 0], "to": [0, 1]}]},
+    {"vertices": [0, 1], "edges": [{"from": 0, "to": [1]}]},
+    {"vertices": [0, 1], "edges": [{"from": 0, "to": 1}], "starts": [[0]], "ends": [1]},
+    {"vertices": [0, 1], "edges": [{"from": 0, "to": 1}], "starts": [0], "ends": [{"v": 1}]},
+]
+
+
+@pytest.mark.parametrize("doc", LIST_ID_GRAPHS)
+@pytest.mark.parametrize("command", [["compute", "path-gf"], ["reflect", "build", "--variant", "bar"]])
+def test_graph_with_non_scalar_vertex_ids_is_a_usage_error(tmp_path, capsys, doc, command):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command, "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertex id ")
+    assert "must be a string or an integer" in err
+
+
+def test_graph_with_list_vertex_ids_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(LIST_ID_GRAPHS[0]))
+    proc = _run_module(["compute", "path-gf", "--graph", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: vertex id [0, 0]")
+    assert "Traceback" not in proc.stderr
+
+
 def test_reflect_build(tmp_path, capsys, staircase_file):
     out = tmp_path / "mirrored.json"
     assert main(["reflect", "build", "--graph", staircase_file, "--variant", "bar", "--out", str(out)]) == 0

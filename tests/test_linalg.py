@@ -10,10 +10,12 @@ from pathtiles.linalg import (
     ExactMatrix,
     crossing_number,
     determinant,
+    division_free_determinant,
     one_factors,
     pfaffian,
     pfaffian_by_expansion,
     pfaffian_by_matchings,
+    permanent,
     random_integer_matrix,
     random_skew_matrix,
     shift_entries,
@@ -117,6 +119,26 @@ def test_polynomial_determinant_against_cofactor_oracle():
         entries = [rng.choice(monos) + rng.randint(-1, 1) for _ in range(n * n)]
         m = ExactMatrix(n, n, entries)
         assert determinant(m) == cofactor_det(m)
+
+
+def test_division_free_determinant_and_permanent_against_permutations():
+    rng = random.Random(5)
+    for n in range(0, 6):
+        for _ in range(4):
+            m = random_integer_matrix(rng, n, n, -10**12, 10**12)
+            signed = unsigned = 0
+            for perm in itertools.permutations(range(n)):
+                term = 1
+                for i, j in enumerate(perm):
+                    term *= m.entry(i, j)
+                inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+                signed += (-1) ** inversions * term
+                unsigned += term
+            assert division_free_determinant(m) == signed == determinant(m)
+            assert permanent(m) == unsigned
+    for fn in (division_free_determinant, permanent):
+        with pytest.raises(ValueError):
+            fn(ExactMatrix.zero(2, 3))
 
 
 def test_one_factors_and_crossings():
@@ -244,3 +266,9 @@ def test_matrix_json_round_trip():
     assert data == [["1/2", "q"], ["3", "1 + t"]]
     back = ExactMatrix.from_lists(data)
     assert back == m
+
+
+@pytest.mark.parametrize("data", [[[0, 1], [-1, 0]], [["0", 1], ["-1", "0"]], [[None]], ["0", "1"], {"a": 1}])
+def test_matrix_json_rejects_non_string_entries(data):
+    with pytest.raises(ValueError, match="matrix"):
+        ExactMatrix.from_lists(data)

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from pathtiles import partitions
+from pathtiles import linalg, partitions, ring
 from pathtiles.dag import Budget, BudgetExceeded
+from pathtiles.linalg import ExactMatrix, determinant, division_free_determinant, upper_twos
 from pathtiles.lozenge import count_tilings, mirrored_hook_region, mirrored_tiling_gf_formula
 from pathtiles.partitions import (
     ShiftedPlanePartition,
@@ -21,6 +22,7 @@ from pathtiles.partitions import (
     pp_sym_volume_gf,
     qt_gf_determinant,
     qt_gf_enumerated,
+    qt_path_matrix,
     qt_weight,
     shifted_from_symmetric,
     spp_count,
@@ -29,7 +31,7 @@ from pathtiles.partitions import (
     to_symmetric_plane_partition,
     volume_gf,
 )
-from pathtiles.ring import QtPolynomial, q, qbinomial, t
+from pathtiles.ring import QtPolynomial, q, qbinomial, substitute, t
 from pathtiles.verify import strict_partitions
 
 
@@ -153,6 +155,71 @@ def test_volume_specializations():
             assert volume_gf(m, shape, "spp") == vol * vol
             sym = pp_sym_volume_gf(m, symmetrize_shape(shape))
             assert volume_gf(m, shape, "pp_sym") == sym * sym
+
+
+def _volume_gf_by_substitution(m, shape, which):
+    # The specialization as a substitution followed by a polynomial
+    # determinant, built from public functions only.
+    images = {"spp": (q, q), "pp_sym": (q**2, q)}[which]
+    z = qt_path_matrix(m, shape)
+    z = ExactMatrix(z.rows, z.cols, [substitute(e, *images) for i in range(z.rows) for e in z.row(i)])
+    return QtPolynomial.from_scalar(determinant(z * upper_twos(z.cols) * z.transpose()))
+
+
+SMALL_SHAPES = [()] + strict_partitions(6, 4)
+
+
+@pytest.mark.parametrize("which", ["spp", "pp_sym"])
+def test_volume_gf_matches_substituted_determinant(which):
+    cases = [(m, shape) for shape in SMALL_SHAPES for m in range(4)] + [(6, (9, 7, 6, 3, 2))]
+    for m, shape in cases:
+        assert volume_gf(m, shape, which) == _volume_gf_by_substitution(m, shape, which), (m, shape)
+
+
+def test_volume_gf_edge_cases(monkeypatch):
+    for which in ("spp", "pp_sym"):
+        for m in range(4):
+            assert volume_gf(m, (), which) == 1
+        for shape in SMALL_SHAPES[::7]:
+            assert volume_gf(0, shape, which) == 1
+
+    def no_work(*args):
+        raise AssertionError("volume_gf did work before validating its input")
+
+    for name in ("qt_path_matrix", "permanent", "kronecker_pack", "division_free_determinant"):
+        monkeypatch.setattr(partitions, name, no_work)
+    with pytest.raises(ValueError, match="which must be"):
+        volume_gf(2, (3, 1), "qt")
+    monkeypatch.undo()
+    monkeypatch.setattr(partitions, "permanent", no_work)
+    for which in ("spp", "pp_sym"):
+        with pytest.raises(ValueError, match="largest entry bound"):
+            volume_gf(-1, (3, 1), which)
+        with pytest.raises(ValueError):
+            volume_gf(2, (1, 3), which)
+
+
+def test_volume_gf_is_one_evaluation_on_ints(monkeypatch):
+    want = {which: _volume_gf_by_substitution(4, (6, 4, 3, 1), which) for which in ("spp", "pp_sym")}
+    calls = []
+
+    def forbidden(*args):
+        raise AssertionError("volume_gf substituted or took a polynomial determinant")
+
+    def int_determinant(matrix):
+        entries = [e for i in range(matrix.rows) for e in matrix.row(i)]
+        assert all(type(e) is int for e in entries)
+        calls.append(matrix.rows)
+        return division_free_determinant(matrix)
+
+    monkeypatch.setattr(QtPolynomial, "substitute", forbidden)
+    monkeypatch.setattr(ring, "substitute", forbidden)
+    monkeypatch.setattr(linalg, "determinant", forbidden)
+    monkeypatch.setattr(partitions, "determinant", forbidden)
+    monkeypatch.setattr(partitions, "division_free_determinant", int_determinant)
+    for which, gf in want.items():
+        assert volume_gf(4, (6, 4, 3, 1), which) == gf
+    assert calls == [4, 4]
 
 
 def test_symmetric_volume_is_qt_specialization():

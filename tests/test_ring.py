@@ -224,6 +224,28 @@ def test_packed_multiply_cancellation():
     assert (big * big) + (-big) * big == 0
 
 
+def test_slot_width_leaves_a_sign_bit():
+    assert ring.slot_width(0) == 1
+    for w in range(1, 5):
+        assert ring.slot_width(2 ** (8 * w - 1) - 1) == w
+        assert ring.slot_width(2 ** (8 * w - 1)) == w + 1
+
+
+@pytest.mark.parametrize("stride", [1, 2, 7])
+def test_kronecker_pack_round_trip(stride):
+    # Slots e_q * stride + e_t stay distinct when e_t < stride.
+    for bound in (1, 127, 128, 2**31 - 1, 10**30):
+        width = ring.slot_width(bound)
+        terms = {(i, i % stride): (-1) ** i * (bound - i % 3) for i in range(12)}
+        packed = ring.kronecker_pack(terms, stride, width)
+        assert packed == sum(c * 2 ** (8 * width * (eq * stride + et)) for (eq, et), c in terms.items())
+        slots = 11 * stride + stride
+        coeffs = ring.kronecker_unpack(packed, slots, width)
+        assert coeffs == [terms.get(divmod(i, stride), 0) for i in range(slots)]
+    assert ring.kronecker_pack({}, stride, 3) == 0
+    assert ring.kronecker_unpack(0, 4, 3) == [0, 0, 0, 0]
+
+
 def test_mixed_int_and_fraction_operands():
     a = QtPolynomial({(i, i % 2): i + 1 for i in range(20)})
     b = QtPolynomial({(i, 0): Fraction(1, 2) if i % 3 else 2 for i in range(20)})

@@ -13,7 +13,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix, determinant, pfaffian, upper_twos
+from .linalg import ExactMatrix, pfaffian, sum_max_minors_squared
 from .ring import parse_scalar, scalar_str
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -115,6 +115,14 @@ class WeightedDag:
 
     @classmethod
     def from_json(cls, doc) -> tuple["WeightedDag", "EndpointSpec | None"]:
+        if not isinstance(doc, dict):
+            raise ValueError("graph file must hold a JSON object")
+        fields = (doc["vertices"], doc["edges"], doc.get("starts") or [], doc.get("ends") or [])
+        for key, value in zip(("vertices", "edges", "starts", "ends"), fields):
+            if not isinstance(value, list):
+                raise ValueError(f"graph field {key!r} must be an array")
+        if not all(isinstance(e, dict) for e in doc["edges"]):
+            raise ValueError("every edge must be an object with 'from' and 'to'")
         edge_ends = [e[key] for e in doc["edges"] for key in ("from", "to")]
         for v in [*doc["vertices"], *edge_ends, *(doc.get("starts") or ()), *(doc.get("ends") or ())]:
             if not isinstance(v, (str, int)):
@@ -306,10 +314,7 @@ def signed_sum_squared_dets(graph: WeightedDag, spec: EndpointSpec):
     Returns (det[M U M^T], det[M U^T M^T]) for the path matrix M; both equal
     the square of signed_path_sum regardless of compatibility.
     """
-    m = path_matrix(graph, spec)
-    u = upper_twos(m.cols)
-    mt = m.transpose()
-    return determinant(m * u * mt), determinant(m * u.transpose() * mt)
+    return sum_max_minors_squared(path_matrix(graph, spec))
 
 
 def unfixed_end_pfaffian(graph: WeightedDag, spec: EndpointSpec):

@@ -16,11 +16,19 @@ when it is integral and a Fraction only when it is not.
 
 ``division_free_determinant`` is a Laplace expansion over column subsets:
 O(2^n * n) ring products and no division, so it is exponential in the order
-and capped at order 20.  Callers that evaluate a polynomial determinant at a
-Kronecker point (ring.kronecker_pack) call it directly on the packed ints:
-their entries run to thousands of bits, and CPython's exact ``//`` on such
-ints is quadratic in their length, so at the orders used (up to about 8)
-Bareiss' n^3 divisions cost more than the DP's products.
+and capped at order 20.  Each row of the expansion is one batch of signed
+sums of products; only how a batch is summed depends on the entry ring.
+Polynomial rows make one ``ring.multiply_accumulate`` call, which packs each
+minor and entry once and unpacks each new minor once.  Callers that evaluate
+a polynomial determinant at a Kronecker point (ring.kronecker_pack) call it
+directly on the packed ints: their entries run to thousands of bits, and
+CPython's exact ``//`` on such ints is quadratic in their length, so at the
+orders used (up to about 8) Bareiss' n^3 divisions cost more than the DP's
+products.
+
+``upper_twos_gram`` forms Z U Z^T, the matrix of the squared minor-sum
+identity, by running sums and dot products without forming U; polynomial
+entries make one kernel call for all of it.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .ring import scalar_str, parse_scalar
+from .ring import multiply_accumulate, parse_scalar, scalar_str
 
 
 class ExactMatrix:
@@ -182,49 +190,72 @@ def _det_bareiss(matrix: ExactMatrix):
 def division_free_determinant(matrix: ExactMatrix):
     """Determinant by Laplace expansion over column subsets: O(2^n * n)
     ring products, no division, order <= 20."""
-    n = matrix.rows
-    if matrix.cols != n:
-        raise ValueError(f"determinant of non-square {n}x{matrix.cols} matrix")
-    if n > 20:
-        raise ValueError("division-free determinant limited to order <= 20")
-    state = {0: 1}
-    for r in range(n):
-        nxt = {}
-        for mask, value in state.items():
-            cols = [j for j in range(n) if mask >> j & 1]
-            for j in _free_columns(mask, n):
-                term = value * matrix.entry(r, j)
-                # Position of j within the enlarged, sorted subset.
-                pos = sum(1 for c in cols if c < j)
-                if (r + pos) % 2:
-                    term = -term
-                key = mask | (1 << j)
-                nxt[key] = nxt.get(key, 0) + term
-        state = nxt
-    return state[(1 << n) - 1]
+    return _column_subset_dp(matrix, "determinant", signed=True)
 
 
 def permanent(matrix: ExactMatrix):
     """Permanent of a square matrix by the same column-subset expansion,
     unsigned; order <= 20."""
+    return _column_subset_dp(matrix, "permanent", signed=False)
+
+
+def _column_subset_dp(matrix: ExactMatrix, name: str, signed: bool):
+    """Row r maps each r-subset of columns to the expansion of the first r
+    rows on it; one DP row is one batch of sums of products."""
     n = matrix.rows
     if matrix.cols != n:
-        raise ValueError(f"permanent of non-square {n}x{matrix.cols} matrix")
+        raise ValueError(f"{name} of non-square {n}x{matrix.cols} matrix")
     if n > 20:
-        raise ValueError("permanent limited to order <= 20")
+        raise ValueError(f"{name} limited to order <= 20")
+    sums = _sums_of_products(matrix._entries)
     state = {0: 1}
     for r in range(n):
-        nxt = {}
+        targets: dict[int, list] = {}
         for mask, value in state.items():
-            for j in _free_columns(mask, n):
-                key = mask | (1 << j)
-                nxt[key] = nxt.get(key, 0) + value * matrix.entry(r, j)
-        state = nxt
+            for j in range(n):
+                if mask >> j & 1:
+                    continue
+                # The sign of j's position within the enlarged, sorted subset.
+                odd = signed and (r + (mask & ((1 << j) - 1)).bit_count()) % 2
+                targets.setdefault(mask | 1 << j, []).append((-1 if odd else 1, value, matrix.entry(r, j)))
+        state = dict(zip(targets, sums(targets.values())))
     return state[(1 << n) - 1]
 
 
-def _free_columns(mask: int, n: int):
-    return [j for j in range(n) if not mask >> j & 1]
+def _sums_of_products(entries):
+    """The batch summer for a ring: ring.multiply_accumulate when any entry
+    is a polynomial, plain int / Fraction arithmetic otherwise."""
+    return _numeric_sums if _is_numeric(entries) else multiply_accumulate
+
+
+def _numeric_sums(targets) -> list:
+    out = []
+    for target in targets:
+        acc = 0
+        for sign, a, b in target:
+            acc = acc + a * b if sign > 0 else acc - a * b
+        out.append(acc)
+    return out
+
+
+def upper_twos_gram(z: ExactMatrix) -> ExactMatrix:
+    """Z U Z^T for U = upper_twos(z.cols), without forming U.
+
+    Row a of Z U is a running sum, (Z U)[a][l] = Z[a][l] + 2 * sum_{j<l}
+    Z[a][j] = (Z U)[a][l-1] + Z[a][l-1] + Z[a][l], and each entry of the
+    result is one dot product of a row of Z U with a row of Z.  Polynomial
+    entries make one ring.multiply_accumulate call for all of them.
+    """
+    rows = z.to_rows()
+    zu = []
+    for row in rows:
+        acc, out = 0, []
+        for prev, x in zip([0] + row, row):
+            acc = acc + prev + x
+            out.append(acc)
+        zu.append(out)
+    targets = [[(1, x, y) for x, y in zip(left, right)] for left in zu for right in rows]
+    return ExactMatrix(z.rows, z.rows, _sums_of_products(z._entries)(targets))
 
 
 def is_skew_symmetric(matrix: ExactMatrix) -> bool:
@@ -248,22 +279,22 @@ def _require_skew(matrix: ExactMatrix) -> None:
 
 
 def one_factors(n: int):
-    """All perfect matchings of {0, ..., n-1} as tuples of (i, j) pairs, i < j."""
+    """All perfect matchings of {0, ..., n-1} as tuples of (i, j) pairs, i < j.
+
+    Depth-first on an explicit stack: the smallest unmatched element is
+    paired with each later one in increasing order.
+    """
     if n % 2:
         raise ValueError("one_factors requires an even ground set")
-
-    def rec(items):
+    stack = [((), tuple(range(n)))]
+    while stack:
+        prefix, items = stack.pop()
         if not items:
-            yield ()
-            return
+            yield prefix
+            continue
         first = items[0]
-        for idx in range(1, len(items)):
-            partner = items[idx]
-            rest = items[1:idx] + items[idx + 1 :]
-            for tail in rec(rest):
-                yield ((first, partner),) + tail
-
-    yield from rec(tuple(range(n)))
+        for idx in range(len(items) - 1, 0, -1):
+            stack.append((prefix + ((first, items[idx]),), items[1:idx] + items[idx + 1 :]))
 
 
 def crossing_number(pairs) -> int:
@@ -404,9 +435,9 @@ def sum_max_minors_squared(matrix: ExactMatrix):
     m, n = matrix.rows, matrix.cols
     if m > n:
         raise ValueError("matrix must have rows <= cols")
-    u = upper_twos(n)
-    zt = matrix.transpose()
-    return determinant(matrix * u * zt), determinant(matrix * u.transpose() * zt)
+    # Z U^T Z^T is the transpose of Z U Z^T.
+    gram = upper_twos_gram(matrix)
+    return determinant(gram), determinant(gram.transpose())
 
 
 def _block_skew(z: ExactMatrix, a: ExactMatrix, h: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -35,7 +35,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .dag import Budget
-from .linalg import ExactMatrix, determinant, sum_max_minors, upper_twos
+from .linalg import ExactMatrix, determinant, sum_max_minors, upper_twos_gram
+from .ring import parse_rational
 
 
 class Cell(NamedTuple):
@@ -125,14 +126,29 @@ class Region:
 
     @classmethod
     def from_json(cls, doc) -> "Region":
-        return cls(
-            [tuple(c) for c in doc.get("cells", [])],
-            [tuple(e) for e in doc.get("free_edges", [])],
-            {
-                frozenset(tuple(c) for c in item["cells"]): Fraction(item["w"])
-                for item in doc.get("weights", [])
-            },
-        )
+        if not isinstance(doc, dict):
+            raise ValueError("region file must hold a JSON object")
+        fields = {key: doc.get(key) or [] for key in ("cells", "free_edges", "weights")}
+        for key, value in fields.items():
+            if not isinstance(value, list):
+                raise ValueError(f"region field {key!r} must be an array")
+        for edge in fields["free_edges"]:
+            if not (isinstance(edge, list) and len(edge) == 2 and all(type(v) is int for v in edge)):
+                raise ValueError(f"free edge {edge!r} must be [line, y] with integers")
+        weights = {}
+        for item in fields["weights"]:
+            shaped = isinstance(item, dict) and isinstance(item.get("cells"), list)
+            if not (shaped and isinstance(item.get("w"), (str, int))):
+                raise ValueError(f"weight {item!r} must be an object with a 'cells' array and a 'w' scalar")
+            weights[frozenset(map(_cell_from_json, item["cells"]))] = parse_rational(str(item["w"]))
+        return cls(list(map(_cell_from_json, fields["cells"])), map(tuple, fields["free_edges"]), weights)
+
+
+def _cell_from_json(cell) -> tuple[int, int, str]:
+    shaped = isinstance(cell, list) and len(cell) == 3
+    if not (shaped and type(cell[0]) is int and type(cell[1]) is int and isinstance(cell[2], str)):
+        raise ValueError(f"cell {cell!r} must be [x, y, orientation] with integers x, y")
+    return tuple(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +494,7 @@ def mirrored_tiling_gf_formula(m: int, shape, removed=()):
     """
     shape = validate_strict_partition(shape)
     z = binomial_path_matrix(m, shape, removed)
-    d = determinant(z * upper_twos(z.cols) * z.transpose())
+    d = determinant(upper_twos_gram(z))
     s = 2**z.rows
     return d // s if d % s == 0 else Fraction(d, s)
 
@@ -524,6 +540,8 @@ def double_staircase(n: int, k: int) -> tuple[int, ...]:
 
 def double_staircase_free_product(m: int, n: int, k: int) -> Fraction:
     """Product formula for the free-boundary count of the double staircase."""
+    if m < 0:
+        raise ValueError("need m >= 0")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     value = Fraction(1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 
 from .dag import Budget
-from .linalg import ExactMatrix, determinant, division_free_determinant, permanent, upper_twos
+from .linalg import ExactMatrix, determinant, division_free_determinant, permanent, upper_twos_gram
 from .lozenge import (
     count_tilings,
     mirrored_hook_region,
@@ -257,9 +257,7 @@ def qt_path_matrix(m: int, shape) -> ExactMatrix:
 def qt_gf_determinant(m: int, shape) -> QtPolynomial:
     """det[M(q,t) U M(q,t)^T]: the square of the (q,t)-generating function."""
     shape = validate_strict_partition(shape)
-    z = qt_path_matrix(m, shape)
-    value = determinant(z * upper_twos(z.cols) * z.transpose())
-    return QtPolynomial.from_scalar(value)
+    return QtPolynomial.from_scalar(determinant(upper_twos_gram(qt_path_matrix(m, shape))))
 
 
 def volume_gf(m: int, shape, which: str) -> QtPolynomial:
@@ -277,7 +275,6 @@ def volume_gf(m: int, shape, which: str) -> QtPolynomial:
     if stride is None:
         raise ValueError("which must be 'spp' or 'pp_sym'")
     z = qt_path_matrix(m, shape)
-    u = upper_twos(z.cols)
     # Each entry is a power of t times a polynomial in q, so no two of its
     # terms share a slot at any stride.
     rows = [[e.terms() for e in z.row(i)] for i in range(z.rows)]
@@ -287,13 +284,13 @@ def volume_gf(m: int, shape, which: str) -> QtPolynomial:
     # L1 norms are subadditive and submultiplicative and U >= 0, so every
     # |coefficient| <= L1(det) <= permanent of the Gram matrix of norms.
     norms = ExactMatrix(z.rows, z.cols, [sum(map(abs, e.values())) for row in rows for e in row])
-    width = slot_width(permanent(norms * u * norms.transpose()))
+    width = slot_width(permanent(upper_twos_gram(norms)))
     # Permuting the rows of Z leaves det[Z U Z^T] unchanged.  The DP
     # multiplies each row into every minor of the rows before it, so the
     # rows with the shortest entries go first.
     order = sorted(range(z.rows), key=tops.__getitem__)
     packed = ExactMatrix(z.rows, z.cols, [kronecker_pack(e, stride, width) for i in order for e in rows[i]])
-    value = division_free_determinant(packed * u * packed.transpose())
+    value = division_free_determinant(upper_twos_gram(packed))
     coeffs = kronecker_unpack(value, degree + 1, width)
     return QtPolynomial({(e, 0): c for e, c in enumerate(coeffs) if c})
 

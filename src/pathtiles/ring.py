@@ -9,29 +9,46 @@ as a ``Fraction`` only when it is not, so ``terms()`` returns a dict
 ``Fraction`` arithmetic.  Since ``hash(Fraction(n)) == hash(n)`` and the two
 compare equal, the choice is invisible to ``==``, ``hash`` and ``str``.
 
-Products of two integer polynomials with many term pairs use Kronecker
-substitution (D. Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", J. Symbolic Comput. 2009): both operands are packed
-into one big integer each, multiplied once, and unpacked.  Rational, small
-and very sparse products use the schoolbook dict loop.  The byte-slot packer
-and unpacker (``kronecker_pack``, ``kronecker_unpack``, ``slot_width``) are
-public because whole formulas are evaluated the same way: the volume GFs of
-``partitions`` pack every matrix entry once and unpack only the result.
-Everything is immutable after construction, so values can be shared freely.
+Integer products with many term pairs use Kronecker substitution
+(D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 2009), batched: ``multiply_accumulate``
+takes many targets, each a signed sum of products a * b, picks one slot
+layout for the whole batch from its operands, packs each distinct operand
+into one big integer once, sums every target's products on ints and unpacks
+each target once.  ``QtPolynomial.__mul__`` is its one-pair case, and the
+polynomial determinants of ``linalg`` make one call per batch.  Rational,
+small and very sparse batches use the schoolbook dict loop.  The byte-slot
+packer and unpacker (``kronecker_pack``, ``kronecker_unpack``,
+``slot_width``) are public because whole formulas are evaluated the same
+way: the volume GFs of ``partitions`` pack every matrix entry once and
+unpack only the result.  Everything is immutable after construction, so
+values can be shared freely.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 Rational = Fraction
 
-# Term pairs (|a| * |b|) above which an all-int product is packed.  Measured
+# Term pairs (sum of |a| * |b|) above which an all-int batch is packed.  Measured
 # on CPython 3.11, x86-64: the dict loop and the packed multiply break even
 # near 12x12 dense terms; packing is 1.2-1.7x faster at 16x16 and about 3x
 # faster at 32x32.  CHANGES.md has the table.
 _PACK_MIN_PAIRS = 128
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+# Term count from which kronecker_pack fills machine words rather than
+# converting each coefficient to bytes.  Measured on CPython 3.11, x86-64,
+# at slot widths 2-8 bytes: the two break even between 12 and 24 terms, and
+# words are about 2x faster at 48 terms.
+_WORD_PACK_MIN_TERMS = 16
 
 # Scalar = int | Fraction | QtPolynomial; kept loose on purpose so plain
 # Python ints flow through matrix/graph code unchanged.
@@ -112,25 +129,10 @@ class QtPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) * len(b) > _PACK_MIN_PAIRS and _all_int(a) and _all_int(b):
-            packed = _mul_packed(a, b)
-            if packed is not None:
-                return _raw(packed)
-        out: dict[tuple[int, int], int | Fraction] = {}
-        for (aq, at), ac in a.items():
-            for (bq, bt), bc in b.items():
-                key = (aq + bq, at + bt)
-                s = out.get(key, 0) + ac * bc
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        # Rational products and sums can come out integral.
-        for key, c in out.items():
-            if type(c) is not int and c.denominator == 1:
-                out[key] = c.numerator
-        return _raw(out)
+        pair = (1, self._terms, other._terms)
+        if len(self._terms) * len(other._terms) <= _PACK_MIN_PAIRS:
+            return _raw(_mac_dict((pair,)))
+        return _raw(_multiply_accumulate([[pair]])[0])
 
     __rmul__ = __mul__
 
@@ -162,12 +164,17 @@ class QtPolynomial:
         return hash(frozenset(self._terms.items()))
 
     def substitute(self, q_image, t_image) -> "QtPolynomial":
-        """Simultaneously substitute for q and t and expand exactly."""
+        """Simultaneously substitute for q and t and expand exactly.
+
+        Each power of an image that some term needs is computed once.
+        """
         qi = QtPolynomial.from_scalar(q_image)
         ti = QtPolynomial.from_scalar(t_image)
+        q_pow = {e: qi**e for e in {eq for eq, _ in self._terms}}
+        t_pow = {e: ti**e for e in {et for _, et in self._terms}}
         total = QtPolynomial()
         for (eq, et), coeff in sorted(self._terms.items()):
-            total = total + coeff * (qi ** eq) * (ti ** et)
+            total = total + coeff * q_pow[eq] * t_pow[et]
         return total
 
     def __str__(self) -> str:
@@ -208,29 +215,120 @@ def _coefficient(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
-def _all_int(terms: dict) -> bool:
-    return all(type(c) is int for c in terms.values())
+def multiply_accumulate(targets) -> list[QtPolynomial]:
+    """Many sums of products at once: for each target, a list of
+    (sign, a, b) with sign +1 or -1 and ring elements a, b, the polynomial
+    sum of sign * a * b.
+
+    Integer batches with enough term pairs go through one Kronecker layout
+    chosen from all the operands of the batch: each distinct operand is
+    packed once, every target is summed on ints and unpacked once.
+    """
+    batch = [[(sign, _coerce(a)._terms, _coerce(b)._terms) for sign, a, b in target] for target in targets]
+    return [_raw(terms) for terms in _multiply_accumulate(batch)]
 
 
-def _mul_packed(a: dict, b: dict) -> dict | None:
-    """Product of two int term maps by Kronecker substitution.
+def _multiply_accumulate(batch: list) -> list[dict]:
+    """multiply_accumulate on term maps; returns one term map per target."""
+    term_pairs = sum(len(a) * len(b) for target in batch for _, a, b in target)
+    if term_pairs > _PACK_MIN_PAIRS:
+        packed = _mac_packed(batch, term_pairs)
+        if packed is not None:
+            return packed
+    return [_mac_dict(target) for target in batch]
+
+
+def _mac_dict(target: list) -> dict:
+    """The schoolbook sum of one target's signed products."""
+    out: dict[tuple[int, int], int | Fraction] = {}
+    for sign, a, b in target:
+        for (aq, at), ac in a.items():
+            if sign < 0:
+                ac = -ac
+            for (bq, bt), bc in b.items():
+                key = (aq + bq, at + bt)
+                s = out.get(key, 0) + ac * bc
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+    # Rational products and sums can come out integral.
+    for key, c in out.items():
+        if type(c) is not int and c.denominator == 1:
+            out[key] = c.numerator
+    return out
+
+
+def _extent(operands) -> tuple[int, int, int, int]:
+    """(max deg_q, max deg_t, max |coefficient|, max term count) of nonempty
+    term maps."""
+    values = list(chain.from_iterable(map(dict.values, operands)))
+    return (
+        max(map(max, operands))[0],
+        max(map(itemgetter(1), chain.from_iterable(operands))),
+        max(max(values), -min(values)),
+        max(map(len, operands)),
+    )
+
+
+def _mac_packed(batch: list, term_pairs: int) -> list[dict] | None:
+    """Kronecker substitution for a whole batch of int term maps.
 
     Term (e_q, e_t) goes to slot e_q * stride + e_t with stride =
-    deg_t(a) + deg_t(b) + 1, so product exponents never carry across slots.
-    Every slot is wide enough for any product coefficient plus a sign bit:
-    |c| <= max|a| * max|b| * min(|a|, |b|).
+    max deg_t(a) + max deg_t(b) + 1 over the left and right operands, so no
+    product exponent carries across slots.  Every product coefficient is at
+    most max|a| * max|b| * min(max |a|, max |b| term counts), and a target
+    adds up to `most` products, so the slot holds that times `most` plus a
+    sign bit.
 
-    Returns None when the product has more slots than term pairs: unpacking
-    visits every slot, so the dict loop does less work on such sparse input.
+    Returns None for a rational batch, and when the targets together have
+    more slots than term pairs: unpacking visits every slot, so the dict
+    loop does less work on such sparse input.
     """
-    stride = max(et for _, et in a) + max(et for _, et in b) + 1
-    slots = (max(eq for eq, _ in a) + max(eq for eq, _ in b) + 1) * stride
-    if slots > len(a) * len(b):
+    lefts: dict[int, dict] = {}
+    rights: dict[int, dict] = {}
+    most = 0
+    for target in batch:
+        live = 0
+        for _, a, b in target:
+            if a and b:
+                lefts[id(a)] = a
+                rights[id(b)] = b
+                live += 1
+        most = max(most, live)
+    operands = lefts | rights
+    if not set(map(type, chain.from_iterable(map(dict.values, operands.values())))) <= {int}:
         return None
-    width = slot_width(max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)))
-    product = kronecker_pack(a, stride, width) * kronecker_pack(b, stride, width)
-    coeffs = kronecker_unpack(product, slots, width)
-    return {divmod(i, stride): c for i, c in enumerate(coeffs) if c}
+    aq, at, a_big, a_len = _extent(lefts.values())
+    bq, bt, b_big, b_len = _extent(rights.values())
+    stride = at + bt + 1
+    if (aq + bq + 1) * stride * len(batch) > term_pairs:
+        return None
+    width = slot_width(a_big * b_big * min(a_len, b_len) * most)
+    packed = {key: kronecker_pack(terms, stride, width) for key, terms in operands.items()}
+    out = []
+    for target in batch:
+        acc = 0
+        for sign, a, b in target:
+            if a and b:
+                product = packed[id(a)] * packed[id(b)]
+                acc = acc + product if sign > 0 else acc - product
+        out.append(_unpack_terms(acc, stride, width))
+    return out
+
+
+def _unpack_terms(value: int, stride: int, width: int) -> dict:
+    """Term map of a packed value, reading only up to its top nonzero slot.
+
+    Slots below the top one hold less than X / 2 together, where
+    X = 2^(8 * width), so a value whose top nonzero slot is s has
+    X^s / 2 < |value| < X^(s+1) / 2, and its bit length fixes s.
+    """
+    if not value:
+        return {}
+    slots = abs(value).bit_length() // (8 * width) + 1
+    half = 1 << (8 * width - 1)
+    return {divmod(i, stride): v - half for i, v in enumerate(_biased_slots(value, slots, width)) if v != half}
 
 
 def slot_width(bound: int) -> int:
@@ -243,12 +341,23 @@ def kronecker_pack(terms: dict, stride: int, width: int) -> int:
 
     Term (e_q, e_t) lands in slot e_q * stride + e_t; no two terms may share
     a slot, and every |c| must be below 2^(8 * width - 1).  An empty term
-    map packs to 0.
+    map packs to 0.  Many terms in slots of at most 8 bytes are filled as
+    machine words and narrowed to width bytes by strided copies, which has
+    a fixed cost of a few microseconds but no per-term int conversion.
     """
-    size = (max((eq * stride + et for eq, et in terms), default=-1) + 1) * width
-    pos, neg = bytearray(size), bytearray(size)
-    for (eq, et), c in terms.items():
-        i = (eq * stride + et) * width
+    at = [eq * stride + et for eq, et in terms]
+    slots = max(at, default=-1) + 1
+    if width <= 8 and len(terms) >= _WORD_PACK_MIN_TERMS:
+        pos, neg = array("Q", bytes(8 * slots)), array("Q", bytes(8 * slots))
+        for i, c in zip(at, terms.values()):
+            if c > 0:
+                pos[i] = c
+            else:
+                neg[i] = -c
+        return _from_words(pos, width) - _from_words(neg, width)
+    pos, neg = bytearray(slots * width), bytearray(slots * width)
+    for i, c in zip(at, terms.values()):
+        i *= width
         if c > 0:
             pos[i : i + width] = c.to_bytes(width, "little")
         else:
@@ -256,19 +365,44 @@ def kronecker_pack(terms: dict, stride: int, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _from_words(words: array, width: int) -> int:
+    """The int whose width-byte slots are the given words, little-endian."""
+    if not _LITTLE_ENDIAN:
+        words.byteswap()
+    raw = words.tobytes()
+    data = bytearray(len(words) * width)
+    for j in range(width):
+        data[j::width] = raw[j::8]
+    return int.from_bytes(data, "little")
+
+
 def kronecker_unpack(value: int, slots: int, width: int) -> list[int]:
     """Coefficients of slots 0 .. slots - 1 of a packed value, inverse to
     kronecker_pack for any polynomial of degree < slots whose coefficients
-    fit the slot width.
+    fit the slot width."""
+    half = 1 << (8 * width - 1)
+    return [v - half for v in _biased_slots(value, slots, width)]
 
-    Adding 2^(8 * width - 1) to every slot makes all slots nonnegative, so
-    the bytes of the biased value are the slots themselves.
+
+def _biased_slots(value: int, slots: int, width: int) -> list[int]:
+    """Slots 0 .. slots - 1 of value, each plus 2^(8 * width - 1).
+
+    Adding that bias to every slot makes all slots nonnegative, so the bytes
+    of the biased value are the slots themselves.  Slots of at most 8 bytes
+    are widened to machine words by strided copies and read in one call.
     """
     size = slots * width
     bias = int.from_bytes((b"\0" * (width - 1) + b"\x80") * slots, "little")
     data = (value + bias).to_bytes(size, "little")
-    half = 1 << (8 * width - 1)
-    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, size, width)]
+    if width > 8:
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
+    raw = bytearray(8 * slots)
+    for j in range(width):
+        raw[j::8] = data[j::width]
+    words = array("Q", raw)
+    if not _LITTLE_ENDIAN:
+        words.byteswap()
+    return words.tolist()
 
 
 def _format_monomial(coeff: Fraction, eq: int, et: int) -> str:
@@ -356,7 +490,7 @@ def _parse_term(term: str) -> tuple[Fraction, int, int]:
     m = _MONOMIAL_RE.match(term.replace(" ", ""))
     if not m:
         raise ValueError(f"cannot parse polynomial term: {term!r}")
-    coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+    coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
     eq = et = 0
     for factor in filter(None, m.group("vars").split("*")):
         name, _, exp = factor.partition("^")
@@ -368,11 +502,19 @@ def _parse_term(term: str) -> tuple[Fraction, int, int]:
     return coeff, eq, et
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_scalar(text: str):
     """Parse a canonical scalar string: a rational or a polynomial in q, t."""
     s = text.strip()
     if _RATIONAL_RE.match(s):
-        value = Fraction(s)
+        value = parse_rational(s)
         return int(value) if value.denominator == 1 else value
     return parse_polynomial(s)
 

@@ -244,3 +244,61 @@ def test_verify_determinism(capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["compute", "tiling-count", "--region", "/nonexistent.json"]) == 2
+
+
+BAD_GRAPH_FILES = [
+    [],
+    {"vertices": 5, "edges": []},
+    {"vertices": [0, 1], "edges": {"from": 0, "to": 1}},
+    {"vertices": [0, 1], "edges": [[0, 1]]},
+    {"vertices": [0, 1], "edges": [{"from": 0, "to": 1}], "starts": 0, "ends": "1"},
+    {"vertices": [0, 1], "edges": [{"from": 0, "to": 1, "w": "1/0"}], "starts": [0], "ends": [1]},
+]
+BAD_REGION_FILES = [
+    {"cells": 5},
+    {"cells": [[0, 0, "L"]], "weights": 3},
+    "cells",
+    {"cells": [[0, 0]]},
+    {"cells": [[0, "0", "L"]]},
+    {"cells": [[0, 0, "L"]], "free_edges": [[1, "a"]]},
+    {"cells": [[0, 0, "L"], [1, 0, "R"]], "weights": [[[0, 0, "L"], [1, 0, "R"]]]},
+    {"cells": [[0, 0, "L"], [1, 0, "R"]], "weights": [{"cells": [[0, 0, "L"], [1, 0, "R"]], "w": [1]}]},
+    {"cells": [[0, 0, "L"], [1, 0, "R"]], "weights": [{"cells": [[0, 0, "L"], [1, 0, "R"]], "w": "1/0"}]},
+]
+
+
+@pytest.mark.parametrize("doc", BAD_GRAPH_FILES)
+@pytest.mark.parametrize("command", [["compute", "path-gf"], ["reflect", "build", "--variant", "bar"]])
+def test_graph_file_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys, doc, command):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command, "--graph", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("doc", BAD_REGION_FILES)
+@pytest.mark.parametrize("command", [["tile", "count"], ["tile", "verify"], ["compute", "tiling-count"]])
+def test_region_file_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys, doc, command):
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command, "--region", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["tiling", "free"])
+def test_staircase_product_rejects_negative_m(capsys, kind):
+    assert main(["compute", "staircase-product", "--m", "-1", "--n", "1", "--k", "1", "--kind", kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_wrong_shape_files_exit_2_without_traceback(tmp_path):
+    graph, region = tmp_path / "graph.json", tmp_path / "region.json"
+    graph.write_text("[]")
+    region.write_text(json.dumps({"cells": [[0, 0, "L"]], "weights": 3}))
+    for args in (["compute", "path-gf", "--graph", str(graph)], ["tile", "count", "--region", str(region)]):
+        proc = _run_module(args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr

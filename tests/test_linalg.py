@@ -1,6 +1,9 @@
 """Exact determinants, Pfaffians, and maximal-minor sums."""
 
+import ast
+import inspect
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +28,9 @@ from pathtiles.linalg import (
     sum_max_minors_pfaffian,
     sum_max_minors_squared,
     upper_twos,
+    upper_twos_gram,
 )
+from pathtiles import linalg, ring
 from pathtiles.ring import QtPolynomial, q, t
 
 
@@ -272,3 +277,75 @@ def test_matrix_json_round_trip():
 def test_matrix_json_rejects_non_string_entries(data):
     with pytest.raises(ValueError, match="matrix"):
         ExactMatrix.from_lists(data)
+
+
+def _random_polynomial(rng, terms, bound):
+    return QtPolynomial({(rng.randint(0, 6), rng.randint(0, 3)): rng.randint(-bound, bound) for _ in range(terms)})
+
+
+def test_polynomial_determinant_packed_rows_against_cofactor_oracle(monkeypatch):
+    # Entries of up to 20 terms with negative coefficients, some plain ints:
+    # the DP rows go through the packed kernel.
+    packed_rows = []
+    mac_packed = ring._mac_packed
+
+    def spy(batch, term_pairs):
+        out = mac_packed(batch, term_pairs)
+        packed_rows.append(out is not None)
+        return out
+
+    monkeypatch.setattr(ring, "_mac_packed", spy)
+    rng = random.Random(23)
+    for n in range(1, 5):
+        for _ in range(3):
+            entries = [
+                rng.randint(-5, 5) if rng.random() < 0.25 else _random_polynomial(rng, rng.randint(1, 20), 10**rng.choice((1, 12)))
+                for _ in range(n * n)
+            ]
+            m = ExactMatrix(n, n, entries)
+            assert determinant(m) == cofactor_det(m)
+    assert any(packed_rows)
+
+
+def test_upper_twos_gram_matches_the_generic_product():
+    rng = random.Random(29)
+    makers = (
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        lambda: _random_polynomial(rng, rng.randint(0, 20), 50),
+    )
+    for make in makers:
+        for k, n in ((0, 0), (0, 3), (2, 0), (1, 1), (2, 5), (3, 3), (4, 6)):
+            z = ExactMatrix(k, n, [make() for _ in range(k * n)])
+            gram = upper_twos_gram(z)
+            assert (gram.rows, gram.cols) == (k, k)
+            assert gram == z * upper_twos(n) * z.transpose()
+            assert gram.transpose() == z * upper_twos(n).transpose() * z.transpose()
+
+
+def _one_factors_by_recursion(items):
+    if not items:
+        yield ()
+        return
+    for idx in range(1, len(items)):
+        rest = items[1:idx] + items[idx + 1 :]
+        for tail in _one_factors_by_recursion(rest):
+            yield ((items[0], items[idx]),) + tail
+
+
+def test_one_factors_order_and_count():
+    for n in range(0, 11, 2):
+        factors = list(one_factors(n))
+        assert factors == list(_one_factors_by_recursion(tuple(range(n))))
+        assert len(factors) == math.prod(range(1, n, 2))
+    with pytest.raises(ValueError):
+        list(one_factors(3))
+
+
+def test_one_factors_does_not_recurse():
+    tree = ast.parse(inspect.getsource(linalg.one_factors))
+    function = tree.body[0]
+    nested = [node for node in ast.walk(function) if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not function]
+    calls = {node.func.id for node in ast.walk(function) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not nested
+    assert "one_factors" not in calls

@@ -172,10 +172,17 @@ def test_constants_hash_like_their_scalars():
     assert hash(1 + q) == hash(q + 1)
 
 
+def _packed_product(a, b):
+    """The kernel's packed route on the one-pair batch a * b, or None."""
+    a, b = a.terms(), b.terms()
+    out = ring._mac_packed([[(1, a, b)]], len(a) * len(b))
+    return out if out is None else out[0]
+
+
 def _assert_packed_matches_schoolbook(a, b, packs=True):
     # packs=False: the operands may be too sparse to pack (None is allowed).
     expected = schoolbook(a, b)
-    packed = ring._mul_packed(a.terms(), b.terms())
+    packed = _packed_product(a, b)
     assert packed == expected or (not packs and packed is None)
     product = a * b
     assert product.terms() == expected
@@ -207,7 +214,7 @@ def test_sparse_products_skip_packing():
     # Exponents far apart would need ~4 million slots for 144 term pairs.
     a = QtPolynomial({(10**5 * i, i % 2): i + 1 for i in range(12)})
     b = QtPolynomial({(10**5 * i + 1, 0): -(10**30) for i in range(12)})
-    assert ring._mul_packed(a.terms(), b.terms()) is None
+    assert _packed_product(a, b) is None
     assert (a * b).terms() == schoolbook(a, b)
 
 
@@ -273,3 +280,189 @@ def test_integral_coefficients_are_ints():
     assert parsed.terms() == {(1, 0): 1, (0, 0): Fraction(-3, 2)}
     assert type(parsed.terms()[(1, 0)]) is int
     assert str(parsed) == "-3/2 + q"
+
+
+# -- the batched multiply-accumulate kernel ---------------------------------
+
+
+def batch_oracle(targets):
+    """Each target's signed sum of schoolbook products."""
+    out = []
+    for target in targets:
+        total = {}
+        for sign, a, b in target:
+            for key, c in schoolbook(QtPolynomial.from_scalar(a), QtPolynomial.from_scalar(b)).items():
+                total[key] = total.get(key, 0) + sign * c
+        out.append({key: c for key, c in total.items() if c})
+    return out
+
+
+def _packed_batch(targets):
+    """The kernel's packed route on a batch, or None where it is not taken."""
+    batch = [
+        [(sign, QtPolynomial.from_scalar(a).terms(), QtPolynomial.from_scalar(b).terms()) for sign, a, b in target]
+        for target in targets
+    ]
+    term_pairs = sum(len(a) * len(b) for target in batch for _, a, b in target)
+    return ring._mac_packed(batch, term_pairs) if term_pairs > ring._PACK_MIN_PAIRS else None
+
+
+def _assert_batch_matches_oracle(targets, packs=None):
+    # packs: True when the batch must take the packed route, False when it
+    # must fall back to the dict loop, None when either is allowed.
+    expected = batch_oracle(targets)
+    got = ring.multiply_accumulate(targets)
+    assert [p.terms() for p in got] == expected
+    for p in got:
+        assert all(type(c) is int or c.denominator != 1 for c in p.terms().values())
+    packed = _packed_batch(targets)
+    if packs is not None:
+        assert (packed is not None) == packs
+    assert packed is None or packed == expected
+
+
+@st.composite
+def batches(draw, operands):
+    # Operands are drawn from a small pool, so targets share operands.
+    pool = draw(st.lists(operands, min_size=1, max_size=4))
+    pair = st.tuples(st.sampled_from((1, -1)), st.sampled_from(pool), st.sampled_from(pool))
+    return draw(st.lists(st.lists(pair, max_size=5), min_size=1, max_size=6))
+
+
+@given(batches(int_polynomials))
+@settings(max_examples=40, deadline=None)
+def test_multiply_accumulate_matches_schoolbook(targets):
+    _assert_batch_matches_oracle(targets)
+
+
+@given(batches(q_only_polynomials))
+@settings(max_examples=20, deadline=None)
+def test_multiply_accumulate_t_degree_zero(targets):
+    _assert_batch_matches_oracle(targets)
+
+
+small_int_polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 3)), st.integers(-300, 300).filter(bool), min_size=16, max_size=40
+).map(QtPolynomial)
+
+
+@given(batches(small_int_polynomials))
+@settings(max_examples=30, deadline=None)
+def test_multiply_accumulate_narrow_slots(targets):
+    # Coefficients this small give slots of at most 8 bytes, which pack
+    # and unpack through machine words.
+    _assert_batch_matches_oracle(targets)
+
+
+def test_multiply_accumulate_cancellation():
+    f = 1 + t + t**2 + 3 * t**3 - 5 * t**4
+    a, b = qint(40) * f, (1 - q) * f * (2 - t)
+    _assert_batch_matches_oracle([[(1, a, b), (-1, b, a)]], packs=True)
+    assert ring.multiply_accumulate([[(1, a, b), (-1, b, a)]]) == [0]
+    # a^2 - b^2 == (a + b)(a - b), with every middle term of a cancelling.
+    assert ring.multiply_accumulate([[(1, a, a), (-1, b, b)]]) == [(a + b) * (a - b)]
+    big = QtPolynomial({(i, i % 3): (-1) ** i * 10**30 for i in range(30)})
+    _assert_batch_matches_oracle([[(1, big, big), (-1, big, big)], [(1, big, a), (1, a, big), (-1, a, a)]], packs=True)
+
+
+def test_multiply_accumulate_width_counts_the_pairs_of_a_target():
+    # Each product's largest coefficient is 836^2 * 12 = 8,386,752, just
+    # below 2^23, so one product fits 3-byte slots; a sum of two does not.
+    a = 836 * qint(12)
+    _assert_batch_matches_oracle([[(1, a, a), (1, a, a)]], packs=True)
+    _assert_batch_matches_oracle([[(1, a, a)], [(-1, a, a), (-1, a, a), (-1, a, a)]], packs=True)
+
+
+def test_multiply_accumulate_stride_fits_both_t_degrees():
+    a = qint(12) * (1 + t + t**2)
+    b = qint(12) * (1 - t**3) * 7
+    _assert_batch_matches_oracle([[(1, a, b)], [(1, b, a), (-1, a, a)]], packs=True)
+
+
+def test_multiply_accumulate_scalars_and_empty_targets():
+    a = qint(20) * (1 + t)
+    targets = [[], [(1, 0, a), (1, a, QtPolynomial())], [(1, 3, a), (-1, a, 2)], [(1, Fraction(1, 2), 4)]]
+    _assert_batch_matches_oracle(targets)
+    assert ring.multiply_accumulate(targets) == [0, 0, a, 2]
+
+
+def test_multiply_accumulate_mixed_int_and_fraction_operands():
+    a = QtPolynomial({(i, i % 2): i + 1 for i in range(20)})
+    b = QtPolynomial({(i, 0): Fraction(1, 2) if i % 3 else 2 for i in range(20)})
+    _assert_batch_matches_oracle([[(1, a, a), (-1, a, b)], [(1, b, b)]], packs=False)
+    # Halves that sum to integers come back as ints.
+    assert ring.multiply_accumulate([[(1, b, a), (1, b, a)]]) == [2 * b * a]
+    _assert_batch_matches_oracle([[(1, b, a), (1, b, a)]], packs=False)
+
+
+def test_multiply_accumulate_sparse_batches_skip_packing():
+    a = QtPolynomial({(10**5 * i, i % 2): i + 1 for i in range(12)})
+    b = QtPolynomial({(10**5 * i + 1, 0): -(10**30) for i in range(12)})
+    _assert_batch_matches_oracle([[(1, a, b), (-1, b, a)], [(1, a, a)]], packs=False)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_unpack_reads_to_the_top_nonzero_slot(stride):
+    for width in (1, 2, 8, 9, 13):
+        top = 2 ** (8 * width - 1) - 1
+        for lead in (top, -top, 1, -1):
+            terms = {(i, i % stride): (-1) ** i * (top - i) for i in range(20)}
+            terms[(20, stride - 1)] = lead
+            packed = ring.kronecker_pack(terms, stride, width)
+            assert ring._unpack_terms(packed, stride, width) == terms
+            assert ring._unpack_terms(-packed, stride, width) == {k: -c for k, c in terms.items()}
+    assert ring._unpack_terms(0, stride, 3) == {}
+
+
+@pytest.mark.parametrize("count", [3, 40])
+def test_kronecker_pack_round_trip_at_every_width(count):
+    # Few terms pack by bytes; many terms in slots of at most 8 bytes pack
+    # through machine words.
+    for width in range(1, 11):
+        bound = 2 ** (8 * width - 1) - 1
+        terms = {(i, i % 2): (-1) ** i * (bound - i) for i in range(count)}
+        packed = ring.kronecker_pack(terms, 2, width)
+        assert packed == sum(c * 2 ** (8 * width * (2 * eq + et)) for (eq, et), c in terms.items())
+        coeffs = ring.kronecker_unpack(packed, 2 * count, width)
+        assert coeffs == [terms.get(divmod(i, 2), 0) for i in range(2 * count)]
+
+
+def test_kronecker_pack_with_t_degrees_above_the_stride():
+    # The specialization (q, t) -> (q^s, q) packs t-degrees of s and more;
+    # the top slot then need not belong to the largest key.
+    for count in (2, 20):
+        terms = {(i, 0): i + 1 for i in range(count - 1)}
+        terms[(0, 3 * count)] = -7
+        for stride in (1, 2):
+            packed = ring.kronecker_pack(terms, stride, 2)
+            assert packed == sum(c * 2 ** (16 * (stride * eq + et)) for (eq, et), c in terms.items())
+
+
+# -- substitution -----------------------------------------------------------
+
+
+def _value(p, x, y):
+    return sum(c * Fraction(x) ** eq * Fraction(y) ** et for (eq, et), c in QtPolynomial.from_scalar(p).terms().items())
+
+
+@given(polynomials, polynomials, polynomials)
+@settings(max_examples=40, deadline=None)
+def test_substitute_matches_evaluation_at_integer_points(p, q_image, t_image):
+    image = p.substitute(q_image, t_image)
+    for x, y in ((0, 0), (1, 2), (-2, 3), (3, -1)):
+        assert _value(image, x, y) == _value(p, _value(q_image, x, y), _value(t_image, x, y))
+
+
+def test_substitute_computes_each_power_once(monkeypatch):
+    calls = []
+    power = QtPolynomial.__pow__
+
+    def counting_pow(self, exponent):
+        calls.append(exponent)
+        return power(self, exponent)
+
+    monkeypatch.setattr(QtPolynomial, "__pow__", counting_pow)
+    p = QtPolynomial({(e, f): e + f + 1 for e in range(4) for f in range(3)})
+    p.substitute(1 + t, q * t)
+    # Four distinct q-exponents and three distinct t-exponents.
+    assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3]

@@ -117,23 +117,20 @@ class WeightedDag:
     def from_json(cls, doc) -> tuple["WeightedDag", "EndpointSpec | None"]:
         if not isinstance(doc, dict):
             raise ValueError("graph file must hold a JSON object")
-        fields = (doc["vertices"], doc["edges"], doc.get("starts") or [], doc.get("ends") or [])
-        for key, value in zip(("vertices", "edges", "starts", "ends"), fields):
+        vertices, edges, starts, ends = doc["vertices"], doc["edges"], doc.get("starts", []), doc.get("ends", [])
+        for key, value in zip(("vertices", "edges", "starts", "ends"), (vertices, edges, starts, ends)):
             if not isinstance(value, list):
                 raise ValueError(f"graph field {key!r} must be an array")
-        if not all(isinstance(e, dict) for e in doc["edges"]):
+        if not all(isinstance(e, dict) for e in edges):
             raise ValueError("every edge must be an object with 'from' and 'to'")
-        edge_ends = [e[key] for e in doc["edges"] for key in ("from", "to")]
-        for v in [*doc["vertices"], *edge_ends, *(doc.get("starts") or ()), *(doc.get("ends") or ())]:
+        edge_ends = [e[key] for e in edges for key in ("from", "to")]
+        for v in [*vertices, *edge_ends, *starts, *ends]:
             if not isinstance(v, (str, int)):
                 raise ValueError(f"vertex id {v!r} must be a string or an integer")
-        g = cls(
-            doc["vertices"],
-            [(e["from"], e["to"], parse_scalar(str(e.get("w", "1")))) for e in doc["edges"]],
-        )
+        g = cls(vertices, [(e["from"], e["to"], parse_scalar(str(e.get("w", "1")))) for e in edges])
         spec = None
-        if doc.get("starts") and doc.get("ends"):
-            spec = EndpointSpec(tuple(doc["starts"]), tuple(doc["ends"]))
+        if starts and ends:
+            spec = EndpointSpec(tuple(starts), tuple(ends))
         return g, spec
 
 

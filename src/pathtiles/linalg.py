@@ -431,13 +431,16 @@ def sum_max_minors_pfaffian(matrix: ExactMatrix):
 
 
 def sum_max_minors_squared(matrix: ExactMatrix):
-    """The pair (det[Z U Z^T], det[Z U^T Z^T]); each equals the squared minor sum."""
+    """The pair (det[Z U Z^T], det[Z U^T Z^T]); each equals the squared minor sum.
+
+    The first Gram matrix comes from upper_twos_gram, the second from the
+    generic triple product, so the two agree only if both routes do.
+    """
     m, n = matrix.rows, matrix.cols
     if m > n:
         raise ValueError("matrix must have rows <= cols")
-    # Z U^T Z^T is the transpose of Z U Z^T.
-    gram = upper_twos_gram(matrix)
-    return determinant(gram), determinant(gram.transpose())
+    tilde = matrix * upper_twos(n).transpose() * matrix.transpose()
+    return determinant(upper_twos_gram(matrix)), determinant(tilde)
 
 
 def _block_skew(z: ExactMatrix, a: ExactMatrix, h: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -128,7 +128,7 @@ class Region:
     def from_json(cls, doc) -> "Region":
         if not isinstance(doc, dict):
             raise ValueError("region file must hold a JSON object")
-        fields = {key: doc.get(key) or [] for key in ("cells", "free_edges", "weights")}
+        fields = {key: doc.get(key, []) for key in ("cells", "free_edges", "weights")}
         for key, value in fields.items():
             if not isinstance(value, list):
                 raise ValueError(f"region field {key!r} must be an array")

@@ -16,13 +16,13 @@ takes many targets, each a signed sum of products a * b, picks one slot
 layout for the whole batch from its operands, packs each distinct operand
 into one big integer once, sums every target's products on ints and unpacks
 each target once.  ``QtPolynomial.__mul__`` is its one-pair case, and the
-polynomial determinants of ``linalg`` make one call per batch.  Rational,
-small and very sparse batches use the schoolbook dict loop.  The byte-slot
-packer and unpacker (``kronecker_pack``, ``kronecker_unpack``,
-``slot_width``) are public because whole formulas are evaluated the same
-way: the volume GFs of ``partitions`` pack every matrix entry once and
-unpack only the result.  Everything is immutable after construction, so
-values can be shared freely.
+polynomial determinants of ``linalg`` make one call per batch.  Rational
+and very sparse batches, and batches with too few term pairs per target,
+use the schoolbook dict loop.  The byte-slot packer and unpacker
+(``kronecker_pack``, ``kronecker_unpack``, ``slot_width``) are public
+because whole formulas are evaluated the same way: the volume GFs of
+``partitions`` pack every matrix entry once and unpack only the result.
+Everything is immutable after construction, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -36,19 +36,28 @@ from operator import itemgetter
 
 Rational = Fraction
 
-# Term pairs (sum of |a| * |b|) above which an all-int batch is packed.  Measured
-# on CPython 3.11, x86-64: the dict loop and the packed multiply break even
-# near 12x12 dense terms; packing is 1.2-1.7x faster at 16x16 and about 3x
-# faster at 32x32.  CHANGES.md has the table.
+# Term pairs (sum of |a| * |b|) above which an all-int product is packed.
+# Measured on CPython 3.11, x86-64: the dict loop and the packed multiply
+# break even near 12x12 dense terms; packing is 1.2-1.7x faster at 16x16 and
+# about 3x faster at 32x32.  CHANGES.md has the table.
 _PACK_MIN_PAIRS = 128
+
+# Term pairs a batch needs for each target after the first: packing pays a
+# fixed cost per target (its unpack) that the dict loop does not.  Measured
+# the same way on batches of 1-64 targets of dense int products, the routes
+# break even near 128 + 32 * (targets - 1) term pairs; CHANGES.md has the
+# table.
+_PACK_PAIRS_PER_TARGET = 32
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
-# Term count from which kronecker_pack fills machine words rather than
+# Term count from which kronecker_pack writes machine words rather than
 # converting each coefficient to bytes.  Measured on CPython 3.11, x86-64,
-# at slot widths 2-8 bytes: the two break even between 12 and 24 terms, and
-# words are about 2x faster at 48 terms.
-_WORD_PACK_MIN_TERMS = 16
+# at slot widths 2-6 bytes: the two break even between 6 and 12 terms, and
+# words are about 2x faster at 48 terms.  The volume GFs pack hundreds of
+# entries of 0-12 terms per call, and packing all of them as words made
+# their benchmark ops slower; CHANGES.md has the runs.
+_WORD_PACK_MIN_TERMS = 12
 
 # Scalar = int | Fraction | QtPolynomial; kept loose on purpose so plain
 # Python ints flow through matrix/graph code unchanged.
@@ -220,9 +229,10 @@ def multiply_accumulate(targets) -> list[QtPolynomial]:
     (sign, a, b) with sign +1 or -1 and ring elements a, b, the polynomial
     sum of sign * a * b.
 
-    Integer batches with enough term pairs go through one Kronecker layout
-    chosen from all the operands of the batch: each distinct operand is
-    packed once, every target is summed on ints and unpacked once.
+    Integer batches with enough term pairs per target go through one
+    Kronecker layout chosen from all the operands of the batch: each
+    distinct operand is packed once, every target is summed on ints and
+    unpacked once.
     """
     batch = [[(sign, _coerce(a)._terms, _coerce(b)._terms) for sign, a, b in target] for target in targets]
     return [_raw(terms) for terms in _multiply_accumulate(batch)]
@@ -231,7 +241,7 @@ def multiply_accumulate(targets) -> list[QtPolynomial]:
 def _multiply_accumulate(batch: list) -> list[dict]:
     """multiply_accumulate on term maps; returns one term map per target."""
     term_pairs = sum(len(a) * len(b) for target in batch for _, a, b in target)
-    if term_pairs > _PACK_MIN_PAIRS:
+    if term_pairs > _PACK_MIN_PAIRS + _PACK_PAIRS_PER_TARGET * (len(batch) - 1):
         packed = _mac_packed(batch, term_pairs)
         if packed is not None:
             return packed
@@ -341,20 +351,25 @@ def kronecker_pack(terms: dict, stride: int, width: int) -> int:
 
     Term (e_q, e_t) lands in slot e_q * stride + e_t; no two terms may share
     a slot, and every |c| must be below 2^(8 * width - 1).  An empty term
-    map packs to 0.  Many terms in slots of at most 8 bytes are filled as
-    machine words and narrowed to width bytes by strided copies, which has
-    a fixed cost of a few microseconds but no per-term int conversion.
+    map packs to 0.  Many terms in slots of at most 8 bytes are written as
+    machine words biased by 2^(8 * width - 1), which makes every slot
+    nonnegative, and narrowed to width bytes by strided copies: no per-term
+    int conversion, but a fixed cost that a few terms do not repay.
     """
     at = [eq * stride + et for eq, et in terms]
     slots = max(at, default=-1) + 1
     if width <= 8 and len(terms) >= _WORD_PACK_MIN_TERMS:
-        pos, neg = array("Q", bytes(8 * slots)), array("Q", bytes(8 * slots))
+        half = 1 << (8 * width - 1)
+        words = array("Q", (half,)) * slots
         for i, c in zip(at, terms.values()):
-            if c > 0:
-                pos[i] = c
-            else:
-                neg[i] = -c
-        return _from_words(pos, width) - _from_words(neg, width)
+            words[i] = c + half
+        if not _LITTLE_ENDIAN:
+            words.byteswap()
+        raw = words.tobytes()
+        data = bytearray(slots * width)
+        for j in range(width):
+            data[j::width] = raw[j::8]
+        return int.from_bytes(data, "little") - _bias(slots, width)
     pos, neg = bytearray(slots * width), bytearray(slots * width)
     for i, c in zip(at, terms.values()):
         i *= width
@@ -365,15 +380,9 @@ def kronecker_pack(terms: dict, stride: int, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _from_words(words: array, width: int) -> int:
-    """The int whose width-byte slots are the given words, little-endian."""
-    if not _LITTLE_ENDIAN:
-        words.byteswap()
-    raw = words.tobytes()
-    data = bytearray(len(words) * width)
-    for j in range(width):
-        data[j::width] = raw[j::8]
-    return int.from_bytes(data, "little")
+def _bias(slots: int, width: int) -> int:
+    """2^(8 * width - 1) in each of slots 0 .. slots - 1."""
+    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * slots, "little")
 
 
 def kronecker_unpack(value: int, slots: int, width: int) -> list[int]:
@@ -392,8 +401,7 @@ def _biased_slots(value: int, slots: int, width: int) -> list[int]:
     are widened to machine words by strided copies and read in one call.
     """
     size = slots * width
-    bias = int.from_bytes((b"\0" * (width - 1) + b"\x80") * slots, "little")
-    data = (value + bias).to_bytes(size, "little")
+    data = (value + _bias(slots, width)).to_bytes(size, "little")
     if width > 8:
         return [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
     raw = bytearray(8 * slots)

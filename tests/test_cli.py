@@ -253,9 +253,15 @@ BAD_GRAPH_FILES = [
     {"vertices": [0, 1], "edges": [[0, 1]]},
     {"vertices": [0, 1], "edges": [{"from": 0, "to": 1}], "starts": 0, "ends": "1"},
     {"vertices": [0, 1], "edges": [{"from": 0, "to": 1, "w": "1/0"}], "starts": [0], "ends": [1]},
+    {"vertices": [0], "edges": [], "starts": 0, "ends": [0]},
+    {"vertices": [0], "edges": [], "starts": [0], "ends": {}},
+    {"vertices": [0], "edges": [], "starts": None, "ends": [0]},
 ]
 BAD_REGION_FILES = [
     {"cells": 5},
+    {"cells": 0},
+    {"cells": [[0, 0, "L"]], "free_edges": False},
+    {"cells": [[0, 0, "L"]], "weights": {}},
     {"cells": [[0, 0, "L"]], "weights": 3},
     "cells",
     {"cells": [[0, 0]]},

@@ -304,7 +304,8 @@ def _packed_batch(targets):
         for target in targets
     ]
     term_pairs = sum(len(a) * len(b) for target in batch for _, a, b in target)
-    return ring._mac_packed(batch, term_pairs) if term_pairs > ring._PACK_MIN_PAIRS else None
+    enough = term_pairs > ring._PACK_MIN_PAIRS + ring._PACK_PAIRS_PER_TARGET * (len(batch) - 1)
+    return ring._mac_packed(batch, term_pairs) if enough else None
 
 
 def _assert_batch_matches_oracle(targets, packs=None):
@@ -399,6 +400,22 @@ def test_multiply_accumulate_sparse_batches_skip_packing():
     a = QtPolynomial({(10**5 * i, i % 2): i + 1 for i in range(12)})
     b = QtPolynomial({(10**5 * i + 1, 0): -(10**30) for i in range(12)})
     _assert_batch_matches_oracle([[(1, a, b), (-1, b, a)], [(1, a, a)]], packs=False)
+
+
+def test_multiply_accumulate_needs_term_pairs_for_every_target(monkeypatch):
+    # Every target costs one unpack, so a batch packs only once its term
+    # pairs exceed 128 plus 32 for each target after the first.
+    routes = []
+    real = ring._mac_packed
+    monkeypatch.setattr(ring, "_mac_packed", lambda batch, pairs: routes.append(len(batch)) or real(batch, pairs))
+    a, b = qint(4) * (1 + t), 1 - 2 * q
+    few = [[(1, a, b)]] * 64
+    many = [[(1, a, b), (-1, b, a), (1, a, b)]] * 64
+    assert ring.multiply_accumulate(few) == [a * b] * 64
+    assert routes == []
+    assert ring.multiply_accumulate(many) == [a * b] * 64
+    assert routes == [64]
+    _assert_batch_matches_oracle(many, packs=True)
 
 
 @pytest.mark.parametrize("stride", [1, 3])

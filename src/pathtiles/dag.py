@@ -196,16 +196,25 @@ def iter_path_vertex_sets(graph: WeightedDag, a, b, budget: Budget):
     if a not in graph or b not in graph:
         raise ValueError("unknown vertex")
 
-    def dfs(x, weight, seen):
-        budget.spend()
-        if x == b:
-            yield frozenset(seen), weight
-            return  # a DAG path cannot leave b and come back
-        for y, w in graph.out_edges(x):
+    # A path's vertices on an explicit stack, in the order of a recursive
+    # walk: per vertex, (weight, vertex, untried out-edges).  The bottom entry
+    # only holds the edge into a.
+    seen: set = set()
+    stack = [(1, None, iter(((a, 1),)))]
+    while stack:
+        weight, _, edges = stack[-1]
+        for y, w in edges:
             if y not in seen:
-                yield from dfs(y, weight * w, seen | {y})
-
-    yield from dfs(a, 1, frozenset({a}))
+                break
+        else:
+            seen.discard(stack.pop()[1])
+            continue
+        budget.spend()
+        if y == b:  # a DAG path cannot leave b and come back
+            yield frozenset(seen) | {y}, weight * w
+        else:
+            seen.add(y)
+            stack.append((weight * w, y, iter(graph.out_edges(y))))
 
 
 def permutation_sign(perm) -> int:
@@ -233,30 +242,53 @@ def nonintersecting_gf(graph: WeightedDag, spec: EndpointSpec, perm=None, budget
         budget = Budget()
     end_index = {v: j for j, v in enumerate(spec.ends)}
 
-    def rec(k: int, min_j: int, blocked: frozenset):
-        if k == m:
-            return 1
-        start = spec.starts[perm[k]]
-        if start in blocked:
-            return 0
-        total = 0
-
-        def dfs(x, weight, seen):
-            nonlocal total
-            budget.spend()
-            j = end_index.get(x)
-            if j is not None and j >= min_j:
-                tail = rec(k + 1, j + 1, blocked | seen)
-                if tail != 0:
-                    total = total + weight * tail
-            for y, w in graph.out_edges(x):
+    # Path k is walked depth-first from its start; at each end vertex of
+    # index j >= min_j, the paths after it are counted with min_j = j + 1 and
+    # the walk's vertices blocked, and path k's total gains the walk's weight
+    # times theirs.  levels[k] holds path k's [min_j, blocked, total, walk,
+    # vertices on the walk].  A walk is a stack of (weight, vertex, untried
+    # out-edges); its bottom entry only holds the edge into the start.
+    spend, out_edges, end_of = budget.spend, graph.out_edges, end_index.get
+    levels: list = []
+    call = (0, frozenset())  # (min_j, blocked) of path len(levels), to count
+    result = None  # the count of the paths after the top level's path
+    while True:
+        if call is not None:
+            min_j, blocked = call
+            call = None
+            k = len(levels)
+            if k < m and spec.starts[perm[k]] not in blocked:
+                levels.append([min_j, blocked, 0, [(1, None, iter(((spec.starts[perm[k]], 1),)))], set()])
+            else:
+                result = 1 if k == m else 0
+        if result is not None:
+            if not levels:
+                return result
+            level = levels[-1]
+            if result != 0:
+                level[2] = level[2] + level[3][-1][0] * result
+            result = None
+        min_j, blocked, _, walk, seen = levels[-1]
+        weight, _, edges = walk[-1]
+        while True:
+            for y, w in edges:
                 if y not in blocked and y not in seen:
-                    dfs(y, weight * w, seen | {y})
-
-        dfs(start, 1, frozenset({start}))
-        return total
-
-    return rec(0, 0, frozenset())
+                    break
+            else:
+                seen.discard(walk.pop()[1])
+                if not walk:
+                    result = levels.pop()[2]
+                    break
+                weight, _, edges = walk[-1]
+                continue
+            spend()
+            seen.add(y)
+            weight, edges = weight * w, iter(out_edges(y))
+            walk.append((weight, y, edges))
+            j = end_of(y)
+            if j is not None and j >= min_j:
+                call = (j + 1, blocked | seen)
+                break
 
 
 def signed_path_sum(graph: WeightedDag, spec: EndpointSpec, budget: Budget | None = None):

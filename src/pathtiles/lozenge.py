@@ -21,11 +21,19 @@ count of the one-sided region equals 2^(surviving hooks) times the weighted
 count of the two-sided one, and both sides are also evaluated through
 maximal-minor sums and determinants of binomial path matrices.
 
-Tilers.  count_tilings is a transfer-matrix scan whose states are bitmasks
-of the cells just ahead that are already covered.  iter_tilings,
-sample_tiling and count_symmetric_tilings (which places whole symmetry
-orbits of covers) share one depth-first search on an explicit stack.  Each
-tiler spends a Budget, and none recurses.
+Tilers.  Every tiler works on one integer plan of the region: the cells
+as indices in sorted order, each cell's partner indices in cell_partners
+order, a free-half flag per cell, and integer weights.  With D the lcm of
+the region's weight denominators, a cover of c cells weighs D^c times its
+weight, so every tiling weighs exactly D^(number of cells) times its own
+weight and a count is divided by that once, at the end: the result is an
+int when it is integral and a Fraction only when it is not.
+count_tilings is a transfer-matrix scan whose states are bitmasks of the
+cells just ahead that are already covered.  iter_tilings, sample_tiling and
+count_symmetric_tilings (which places whole symmetry orbits of covers, with
+each symmetry acting on the cell indices as a permutation) share one
+depth-first search on an explicit stack.  Each tiler spends a Budget, and
+none recurses.
 """
 
 from __future__ import annotations
@@ -61,12 +69,17 @@ def _check_cell(cell: Cell) -> None:
         raise ValueError(f"cell {cell} violates the lattice parity")
 
 
+# The lozenge partners of an L and of an R cell, as (dx, dy, orientation).
+_PARTNER_STEPS = {
+    "L": ((1, 0, "R"), (0, 1, "R"), (0, -1, "R")),
+    "R": ((-1, 0, "L"), (0, 1, "L"), (0, -1, "L")),
+}
+
+
 def cell_partners(cell: Cell) -> tuple[Cell, Cell, Cell]:
     """The up-to-three cells this cell can form a lozenge with."""
     x, y, o = cell
-    if o == "L":
-        return (_R(x + 1, y), _R(x, y + 1), _R(x, y - 1))
-    return (_L(x - 1, y), _L(x, y + 1), _L(x, y - 1))
+    return tuple(Cell(x + dx, y + dy, p) for dx, dy, p in _PARTNER_STEPS[o])
 
 
 def cell_vertical_side(cell: Cell) -> tuple[int, int]:
@@ -156,46 +169,96 @@ def _cell_from_json(cell) -> tuple[int, int, str]:
 # ---------------------------------------------------------------------------
 
 
-def _tiling_plan(region: Region):
-    """Cell bits in sorted order and, per cell, its moves (cell bitmask,
-    covers, weight): its lozenges in cell_partners order, earlier partners
-    included, then its free half if any."""
+class _Plan(NamedTuple):
+    """A region on integers: cell i is the i-th cell in sorted order.
+
+    D (scale) is the lcm of the region's weight denominators, and a cover of
+    c cells weighs D^c times its weight.  Every tiling covers each cell once,
+    so it weighs exactly D^len(cells) times its own weight.
+    """
+
+    cells: list[Cell]
+    index: dict[Cell, int]
+    partners: list[list[int]]  # per cell, its partners' indices in cell_partners order
+    free: list[bool]  # per cell, whether it has a free half
+    weights: dict[tuple[int, ...], int]  # scaled weights of the weighted covers, by sorted indices
+    scale: int
+
+    def weight(self, cover: tuple[int, ...]) -> int:
+        return self.weights.get(cover, self.scale ** len(cover))
+
+    def cover_cells(self, cover: tuple[int, ...]) -> frozenset:
+        return frozenset(self.cells[i] for i in cover)
+
+    def unscale(self, total: int):
+        """A scaled weight sum over tilings, divided by D^len(cells)."""
+        return _exact_quotient(total, self.scale ** len(self.cells))
+
+
+def _exact_quotient(num: int, den: int):
+    """num / den: an int when it is one, else a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _tiling_plan(region: Region) -> _Plan:
     cells = region.sorted_cells()
-    bit = {c: 1 << i for i, c in enumerate(cells)}
-    moves = []
-    for c in cells:
-        covers = [frozenset((c, p)) for p in cell_partners(c) if p in bit]
-        if cell_vertical_side(c) in region.free_edges:
-            covers.append(frozenset((c,)))
-        moves.append([(sum(map(bit.get, cover)), (cover,), region.weight_of(cover)) for cover in covers])
-    return bit, moves
+    index = {c: i for i, c in enumerate(cells)}
+    get = index.get
+    partners = [
+        [j for dx, dy, p in _PARTNER_STEPS[o] if (j := get((x + dx, y + dy, p))) is not None]
+        for x, y, o in cells
+    ]
+    free = [cell_vertical_side(c) in region.free_edges for c in cells]
+    values = [Fraction(w) for w in region.weights.values()]
+    scale = math.lcm(*(w.denominator for w in values))
+    weights = {}
+    for key, w in zip(region.weights, values):
+        cover = tuple(sorted(index[c] for c in key))
+        weights[cover] = w.numerator * (scale ** len(cover) // w.denominator)
+    return _Plan(cells, index, partners, free, weights, scale)
 
 
 def count_tilings(region: Region, budget: Budget | None = None):
     """Weighted number of tilings, by a transfer-matrix scan over the cells
     in sorted order.  A state is the bitmask of later cells already covered,
-    relative to the scan position, and carries the total weight of the
-    partial tilings reaching it.  Each cell spends its live states' count
-    from the budget."""
+    relative to the scan position, and carries the scaled total weight of
+    the partial tilings reaching it.  Each cell spends its live states'
+    count from the budget.  The count is an int when it is integral, else a
+    Fraction."""
     if budget is None:
         budget = Budget()
-    _, moves = _tiling_plan(region)
+    plan = _tiling_plan(region)
+    pair, half = plan.scale**2, plan.scale
     states = {0: 1}
-    for i, opts in enumerate(moves):
+    for i, partners in enumerate(plan.partners):
         budget.spend(len(states))
-        # Moves that cover no earlier cell, as masks relative to cell i.
-        steps = [(m >> i, None if w == 1 else w) for m, _, w in opts if m >> i << i == m]
+        # Covers of cell i with no earlier cell, as bits of the state after
+        # cell i is dropped from it.
+        steps = [(1 << (j - i - 1), plan.weights.get((i, j), pair)) for j in partners if j > i]
+        if plan.free[i]:
+            steps.append((0, plan.weights.get((i,), half)))
         nxt: dict = {}
         for mask, weight in states.items():
+            rest = mask >> 1
             if mask & 1:
-                nxt[mask >> 1] = nxt.get(mask >> 1, 0) + weight
+                nxt[rest] = nxt.get(rest, 0) + weight
                 continue
-            for step, w in steps:
-                if not mask & step:
-                    key = (mask | step) >> 1
-                    nxt[key] = nxt.get(key, 0) + (weight if w is None else weight * w)
+            for bit, w in steps:
+                if not rest & bit:
+                    nxt[rest | bit] = nxt.get(rest | bit, 0) + weight * w
         states = nxt
-    return states.get(0, 0)
+    return plan.unscale(states.get(0, 0))
+
+
+def _search_moves(plan: _Plan) -> list:
+    """Per cell, its moves (cell bitmask, cover): its lozenges in
+    cell_partners order, earlier partners included, then its free half."""
+    moves = []
+    for i, partners in enumerate(plan.partners):
+        moves.append([(1 << i | 1 << j, (i, j)) for j in partners])
+        if plan.free[i]:
+            moves[-1].append((1 << i, (i,)))
+    return moves
 
 
 def _search(moves, budget: Budget | None = None, shuffle=None):
@@ -235,16 +298,16 @@ def _search(moves, budget: Budget | None = None, shuffle=None):
 
 def iter_tilings(region: Region, budget: Budget | None = None):
     """Yield every tiling as a frozenset of covers (cell pairs or free halves)."""
-    _, moves = _tiling_plan(region)
-    for chosen in _search(moves, budget):
-        yield frozenset(cover for move in chosen for cover in move[1])
+    plan = _tiling_plan(region)
+    for chosen in _search(_search_moves(plan), budget):
+        yield frozenset(plan.cover_cells(cover) for _, cover in chosen)
 
 
 def sample_tiling(region: Region, rng, budget: Budget | None = None):
     """First tiling found by a depth-first search with shuffled branches."""
-    _, moves = _tiling_plan(region)
-    for chosen in _search(moves, budget, rng.shuffle):
-        return [cover for move in chosen for cover in move[1]]
+    plan = _tiling_plan(region)
+    for chosen in _search(_search_moves(plan), budget, rng.shuffle):
+        return [plan.cover_cells(cover) for _, cover in chosen]
     raise ValueError("region has no tiling")
 
 
@@ -302,21 +365,28 @@ def count_symmetric_tilings(region: Region, mode: str, budget: Budget | None = N
 
     A fixed tiling is a disjoint union of orbits of covers, so the search
     places each cover together with its orbit and visits only fixed tilings.
+    Each symmetry acts on the plan's cell indices as a permutation.
     """
     maps = _symmetry_maps(region, mode)
-    bit, moves = _tiling_plan(region)
+    plan = _tiling_plan(region)
+    perms = [[plan.index[f(c)] for c in plan.cells] for f in maps]
     orbit_moves = []
-    for opts in moves:
+    for i, partners in enumerate(plan.partners):
+        # A cover reaching back to an earlier cell is never placed: the
+        # search only extends its first uncovered cell.
+        covers = [(i, j) for j in partners if j > i]
+        if plan.free[i]:
+            covers.append((i,))
         orbit_moves.append([])
-        for _, (cover,), _ in opts:
+        for cover in covers:
             orbit = {cover}
-            for f in maps:  # commuting involutions: one pass each closes the orbit
-                orbit |= {frozenset(map(f, image)) for image in orbit}
-            cells = [c for image in orbit for c in image]
+            for perm in perms:  # commuting involutions: one pass each closes the orbit
+                orbit |= {tuple(sorted(perm[k] for k in image)) for image in orbit}
+            cells = [k for image in orbit for k in image]
             if len(set(cells)) == len(cells):  # an orbit overlapping itself is never placed
-                weight = math.prod(map(region.weight_of, orbit))
-                orbit_moves[-1].append((sum(map(bit.get, cells)), tuple(orbit), weight))
-    return sum(math.prod(w for _, _, w in chosen) for chosen in _search(orbit_moves, budget))
+                weight = math.prod(map(plan.weight, orbit))
+                orbit_moves[-1].append((sum(1 << k for k in cells), weight))
+    return plan.unscale(sum(math.prod(w for _, w in chosen) for chosen in _search(orbit_moves, budget)))
 
 
 def reflect_cells(cells, line: int = 0):
@@ -494,9 +564,7 @@ def mirrored_tiling_gf_formula(m: int, shape, removed=()):
     """
     shape = validate_strict_partition(shape)
     z = binomial_path_matrix(m, shape, removed)
-    d = determinant(upper_twos_gram(z))
-    s = 2**z.rows
-    return d // s if d % s == 0 else Fraction(d, s)
+    return _exact_quotient(determinant(upper_twos_gram(z)), 2**z.rows)
 
 
 def square_identity_values(m: int, shape, removed=(), budget: Budget | None = None) -> dict:

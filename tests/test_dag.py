@@ -12,6 +12,7 @@ from pathtiles.dag import (
     WeightedDag,
     grid_graph,
     is_compatible,
+    iter_path_vertex_sets,
     nonintersecting_gf,
     path_gf,
     path_matrix,
@@ -254,3 +255,42 @@ def test_json_round_trip():
     doc2 = weighted.to_json()
     g3, _ = WeightedDag.from_json(doc2)
     assert path_gf(g3, "a", "b") == QtPolynomial({(1, 1): 1})
+
+
+def test_walk_order_and_budget_spending_are_pinned():
+    # Recorded from the recursive walks these explicit stacks replaced:
+    # the states spent and the order in which paths are found.
+    g = grid_graph(3, 3)
+    spec = EndpointSpec(((0, 1), (1, 0)), ((2, 3), (3, 2), (3, 3)))
+    budget = Budget(10**6)
+    assert signed_path_sum(g, spec, budget) == 20
+    assert budget.limit - budget.remaining == 476
+    budget = Budget(10**6)
+    assert nonintersecting_gf(g, spec, (1, 0), budget) == 20
+    assert budget.limit - budget.remaining == 238
+    budget = Budget(10**6)
+    assert not is_compatible(g, spec, budget)
+    assert budget.limit - budget.remaining == 191
+    budget = Budget(100)
+    found = [sorted(vs) for vs, _ in iter_path_vertex_sets(grid_graph(2, 1), (0, 0), (2, 1), budget)]
+    assert found == [
+        [(0, 0), (1, 0), (2, 0), (2, 1)],
+        [(0, 0), (1, 0), (1, 1), (2, 1)],
+        [(0, 0), (0, 1), (1, 1), (2, 1)],
+    ]
+    assert budget.limit - budget.remaining == 9
+
+
+def test_long_path_graph_walks_without_recursion():
+    # 3,000 vertices in a line: one state per vertex, no RecursionError.
+    n = 3000
+    g = WeightedDag(range(n), [(i, i + 1, 2) for i in range(n - 1)])
+    spec = EndpointSpec((0,), (n - 1,))
+    budget = Budget(n)
+    assert nonintersecting_gf(g, spec, budget=budget) == 2 ** (n - 1)
+    assert budget.remaining == 0
+    with pytest.raises(BudgetExceeded):
+        nonintersecting_gf(g, spec, budget=Budget(n - 1))
+    assert list(iter_path_vertex_sets(g, 0, n - 1, Budget(n))) == [(frozenset(range(n)), 2 ** (n - 1))]
+    assert signed_path_sum(g, EndpointSpec((0, 1), (n - 2, n - 1))) == 0
+    assert is_compatible(g, EndpointSpec((0, 1), (n - 2, n - 1)))

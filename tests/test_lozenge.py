@@ -1,9 +1,11 @@
 """Regions, tilers, hook constructions, and hexagons.
 
-iter_tilings is the enumeration oracle: the transfer-matrix count and the
-orbit search for symmetric counts are checked against it.
+The tilers are checked against _oracle_tilings, an enumeration of perfect
+matchings of triangles written from a region's cells, free edges and
+weights alone: it shares no code with the tilers' plan or search.
 """
 
+import collections
 import itertools
 import json
 import math
@@ -15,6 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathtiles
 from pathtiles.dag import Budget, BudgetExceeded
@@ -293,13 +297,82 @@ def test_region_json_round_trip():
     assert count_tilings(back_free) == 3
 
 
-def _enumerated_count(region, maps=()):
-    """Weighted count of the tilings fixed by every map, by enumeration."""
-    total = 0
-    for tiling in iter_tilings(region):
-        if all(frozenset(frozenset(map(f, cover)) for cover in tiling) == tiling for f in maps):
-            total += math.prod(region.weight_of(cover) for cover in tiling)
+def _triangle(cell):
+    """The three lattice vertices of a cell, as the lozenge module defines
+    its coordinates: L(x, y) has apex (x, y) and its vertical side on line
+    x + 1; R(x, y) has its vertical side on line x and apex (x + 1, y)."""
+    x, y, orient = cell
+    if orient == "L":
+        return frozenset({(x, y), (x + 1, y - 1), (x + 1, y + 1)})
+    return frozenset({(x, y - 1), (x, y + 1), (x + 1, y)})
+
+
+def _oracle_tilings(region):
+    """Every tiling of the region as a frozenset of covers, by matching
+    triangles that share an edge; a triangle whose vertical side is a free
+    edge may also stand alone.  Recursive, in bottom-up cell order."""
+    triangle = {c: _triangle(c) for c in region.cells}
+    free_sides = {frozenset({(line, y - 1), (line, y + 1)}) for line, y in region.free_edges}
+    covers = {}
+    for c, tri in triangle.items():
+        covers[c] = [frozenset({c, d}) for d, other in triangle.items() if len(tri & other) == 2]
+        vertical = frozenset(v for v in tri if sum(w[0] == v[0] for w in tri) == 2)
+        if vertical in free_sides:
+            covers[c].append(frozenset({c}))
+
+    order = sorted(region.cells, key=lambda c: (c.y, c.x, c.orient))
+
+    def extend(left, pos, chosen):
+        while pos < len(order) and order[pos] not in left:
+            pos += 1
+        if pos == len(order):
+            yield frozenset(chosen)
+            return
+        for cover in covers[order[pos]]:
+            if cover <= left:
+                chosen.append(cover)
+                yield from extend(left - cover, pos + 1, chosen)
+                chosen.pop()
+
+    yield from extend(frozenset(region.cells), 0, [])
+
+
+def _oracle_symmetries(region, mode):
+    """The symmetries of the mode as maps of covers, by reflecting lattice
+    vertices through the centre of the region's vertex bounding box."""
+    vertices = {v for c in region.cells for v in _triangle(c)} or {(0, 0)}
+    sx = min(v[0] for v in vertices) + max(v[0] for v in vertices)
+    sy = min(v[1] for v in vertices) + max(v[1] for v in vertices)
+    reflections = {
+        "central": lambda v: (sx - v[0], sy - v[1]),
+        "vertical": lambda v: (sx - v[0], v[1]),
+    }
+    cell_of = {_triangle(c): c for c in region.cells}
+
+    def as_cover_map(reflect):
+        image = {c: cell_of.get(frozenset(map(reflect, _triangle(c)))) for c in region.cells}
+        return lambda cover: frozenset(image[c] for c in cover)
+
+    names = ("central", "vertical") if mode == "both" else (mode,)
+    return [as_cover_map(reflections[name]) for name in names]
+
+
+def _oracle_count(region, mode=None, tilings=None):
+    """Weighted count of the tilings (fixed by the mode's symmetries, if
+    given), summed in Fractions."""
+    maps = _oracle_symmetries(region, mode) if mode else []
+    total = Fraction(0)
+    for tiling in _oracle_tilings(region) if tilings is None else tilings:
+        if all(frozenset(map(f, tiling)) == tiling for f in maps):
+            weights = [w for cover in tiling if (w := region.weights.get(cover, 1)) != 1]
+            total += math.prod(weights, start=Fraction(1))
     return total
+
+
+def _assert_count(got, want):
+    """Equal, and an int exactly when the count is integral."""
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction), (got, type(got))
 
 
 def _macmahon_box(a, b, c):
@@ -320,7 +393,9 @@ def test_count_tilings_matches_enumeration_on_hook_regions():
             ):
                 for build in (free_hook_region, mirrored_hook_region):
                     region = build(m, shape, removed)
-                    assert count_tilings(region) == _enumerated_count(region), (build, m, shape, removed)
+                    tilings = set(_oracle_tilings(region))
+                    assert set(iter_tilings(region)) == tilings, (build, m, shape, removed)
+                    _assert_count(count_tilings(region), _oracle_count(region, None, tilings))
                     cases += 1
     assert cases == 156
 
@@ -353,9 +428,93 @@ def test_count_symmetric_tilings_matches_filtered_enumeration():
     regions.append(Region(box.cells, (), {pair: Fraction(1, 2) for pair in horizontal}))
     for region in regions:
         assert len(region) <= 100
+        tilings = list(_oracle_tilings(region))
+        _assert_count(count_tilings(region), _oracle_count(region, None, tilings))
         for mode in ("central", "vertical", "both"):
-            want = _enumerated_count(region, _symmetry_maps(region, mode))
-            assert count_symmetric_tilings(region, mode) == want, (sorted(region.cells)[:2], mode)
+            _assert_count(count_symmetric_tilings(region, mode), _oracle_count(region, mode, tilings))
+
+
+def test_counts_are_int_when_integral():
+    # One return rule for tilers and formulas: an int when the count is
+    # integral, a Fraction only when it is not.
+    region = mirrored_hook_region(1, (2, 1))
+    for value in (count_tilings(region), mirrored_tiling_gf_formula(1, (2, 1))):
+        assert value == 4 and type(value) is int
+    half = count_tilings(mirrored_hook_region(1, (2,)))
+    assert half == Fraction(9, 2) and type(half) is Fraction
+    box = holed_hexagon(1, 2)
+    assert type(count_symmetric_tilings(box, "both")) is int
+    weighted = Region(box.cells, (), {frozenset(pair): Fraction(1, 2) for pair in _lozenges(box.cells)})
+    assert count_symmetric_tilings(weighted, "central") == Fraction(1, 1024)
+
+
+def _lozenges(cells):
+    """The cell pairs of a cell set that share an edge, in sorted order."""
+    return sorted(sorted((c, d)) for c, d in itertools.combinations(sorted(cells), 2)
+                  if len(_triangle(c) & _triangle(d)) == 2)
+
+
+def _vertical_side(cell):
+    """A cell's vertical side as a free-edge id (line, centre height)."""
+    x, y, orient = cell
+    return (x + 1, y) if orient == "L" else (x, y)
+
+
+def test_count_tilings_scales_mixed_denominators():
+    # Free halves and lozenges weighted 1/2 and 2/3 (so D = 6) in one region,
+    # with a non-integral total.
+    base = free_hook_region(1, (2,))
+    pairs = _lozenges(base.cells)
+    free_cells = sorted(c for c in base.cells if _vertical_side(c) in base.free_edges)
+    weights = {frozenset(pairs[0]): Fraction(1, 2), frozenset(pairs[6]): Fraction(2, 3),
+               frozenset(free_cells[:1]): Fraction(2, 3)}
+    region = Region(base.cells, base.free_edges, weights)
+    assert _oracle_count(region) == Fraction(35, 18)
+    _assert_count(count_tilings(region), Fraction(35, 18))
+
+
+_SUBREGION_WEIGHTS = (1, 1, Fraction(1, 2), Fraction(2, 3))
+_SUBREGION_HEXAGON = holed_hexagon(2, 2)
+_SUBREGION_TILINGS = sorted(
+    (sorted(sorted(cover) for cover in tiling) for tiling in _oracle_tilings(_SUBREGION_HEXAGON))
+)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_tilers_match_oracle_on_random_subregions(data):
+    # A sub-region of a hexagon: some lozenges of one of its tilings, less
+    # up to two cells, closed under a symmetry if one is drawn; then free
+    # edges among its vertical boundary edges and weights 1, 1/2 or 2/3 on
+    # its lozenges and free halves, invariant under the symmetry.
+    covers = data.draw(st.sampled_from(_SUBREGION_TILINGS))
+    kept = data.draw(st.lists(st.booleans(), min_size=len(covers), max_size=len(covers)))
+    cells = {c for cover, keep in zip(covers, kept) if keep for c in cover}
+    cells -= set(data.draw(st.lists(st.sampled_from(sorted(cells)), max_size=2))) if cells else set()
+    mode = data.draw(st.sampled_from([None, "central", "vertical"]))
+    maps = _oracle_symmetries(_SUBREGION_HEXAGON, mode) if mode else []
+    for f in maps:
+        cells |= f(frozenset(cells))
+
+    def orbit(key):
+        return {key} | {f(key) for f in maps}
+
+    sides = collections.Counter(map(_vertical_side, cells))
+    boundary = sorted(c for c in cells if sides[_vertical_side(c)] == 1)
+    free_cells = set()
+    for c, free in zip(boundary, data.draw(st.lists(st.booleans(), min_size=len(boundary), max_size=len(boundary)))):
+        if free:
+            free_cells |= {d for key in orbit(frozenset({c})) for d in key}
+    weights = {}
+    for key in [frozenset(p) for p in _lozenges(cells)] + [frozenset({c}) for c in sorted(free_cells)]:
+        if key not in weights:
+            weight = data.draw(st.sampled_from(_SUBREGION_WEIGHTS))
+            weights.update(dict.fromkeys(orbit(key), weight))
+    region = Region(cells, map(_vertical_side, free_cells), weights)
+    tilings = list(_oracle_tilings(region))
+    _assert_count(count_tilings(region), _oracle_count(region, None, tilings))
+    if mode:
+        _assert_count(count_symmetric_tilings(region, mode), _oracle_count(region, mode, tilings))
 
 
 def test_sample_tiling_keeps_its_seeded_tilings():

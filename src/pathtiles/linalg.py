@@ -24,7 +24,15 @@ a polynomial determinant at a Kronecker point (ring.kronecker_pack) call it
 directly on the packed ints: their entries run to thousands of bits, and
 CPython's exact ``//`` on such ints is quadratic in their length, so at the
 orders used (up to about 8) Bareiss' n^3 divisions cost more than the DP's
-products.
+products.  The same expansion serves ``permanent`` (unsigned) and
+``sum_max_minors`` of wide matrices with few rows: run over the m rows of
+an m x n matrix, its last row holds every maximal minor once, so one pass
+replaces C(n, m) separate determinants.  Its rows hold C(n, r) subsets, so
+for m close to n ``sum_max_minors`` keeps one determinant per minor.
+
+``pfaffian_by_expansion`` expands along the first row bottom-up: the index
+subsets the expansion reaches are listed level by level and each one's
+Pfaffian is memoised by its bitmask, so nothing in this module recurses.
 
 ``upper_twos_gram`` forms Z U Z^T, the matrix of the squared minor-sum
 identity, by running sums and dot products without forming U; polynomial
@@ -33,8 +41,10 @@ entries make one kernel call for all of it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .ring import multiply_accumulate, parse_scalar, scalar_str
@@ -83,11 +93,8 @@ class ExactMatrix:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
+        entries, cols = self._entries, self.cols
+        return ExactMatrix(cols, self.rows, [x for j in range(cols) for x in entries[j::cols]])
 
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
         row_idx = list(row_idx)
@@ -102,13 +109,10 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch in matrix product")
-            out = []
-            for i in range(self.rows):
-                for j in range(other.cols):
-                    acc = 0
-                    for k in range(self.cols):
-                        acc = acc + self.entry(i, k) * other.entry(k, j)
-                    out.append(acc)
+            # Each entry is sum() of a row slice times a column slice: the
+            # same products and additions, in the same order, as a loop.
+            columns = [other._entries[j :: other.cols] for j in range(other.cols)]
+            out = [sum(map(operator.mul, self.row(i), col)) for i in range(self.rows) for col in columns]
             return ExactMatrix(self.rows, other.cols, out)
         return ExactMatrix(self.rows, self.cols, [other * e for e in self._entries])
 
@@ -190,26 +194,34 @@ def _det_bareiss(matrix: ExactMatrix):
 def division_free_determinant(matrix: ExactMatrix):
     """Determinant by Laplace expansion over column subsets: O(2^n * n)
     ring products, no division, order <= 20."""
-    return _column_subset_dp(matrix, "determinant", signed=True)
+    return _square_subset_dp(matrix, "determinant", signed=True)
 
 
 def permanent(matrix: ExactMatrix):
     """Permanent of a square matrix by the same column-subset expansion,
     unsigned; order <= 20."""
-    return _column_subset_dp(matrix, "permanent", signed=False)
+    return _square_subset_dp(matrix, "permanent", signed=False)
 
 
-def _column_subset_dp(matrix: ExactMatrix, name: str, signed: bool):
-    """Row r maps each r-subset of columns to the expansion of the first r
-    rows on it; one DP row is one batch of sums of products."""
+def _square_subset_dp(matrix: ExactMatrix, name: str, signed: bool):
     n = matrix.rows
     if matrix.cols != n:
         raise ValueError(f"{name} of non-square {n}x{matrix.cols} matrix")
     if n > 20:
         raise ValueError(f"{name} limited to order <= 20")
+    return _column_subset_dp(matrix, signed)[(1 << n) - 1]
+
+
+def _column_subset_dp(matrix: ExactMatrix, signed: bool) -> dict:
+    """Row r maps each r-subset of columns to the expansion of the first r
+    rows on it; one DP row is one batch of sums of products.  Returns the
+    last row: each rows-subset of columns, as a bitmask, with the minor (or,
+    unsigned, the permanent) on those columns in sorted order."""
+    n = matrix.cols
     sums = _sums_of_products(matrix._entries)
     state = {0: 1}
-    for r in range(n):
+    for r in range(matrix.rows):
+        row = matrix.row(r)
         targets: dict[int, list] = {}
         for mask, value in state.items():
             for j in range(n):
@@ -217,9 +229,9 @@ def _column_subset_dp(matrix: ExactMatrix, name: str, signed: bool):
                     continue
                 # The sign of j's position within the enlarged, sorted subset.
                 odd = signed and (r + (mask & ((1 << j) - 1)).bit_count()) % 2
-                targets.setdefault(mask | 1 << j, []).append((-1 if odd else 1, value, matrix.entry(r, j)))
+                targets.setdefault(mask | 1 << j, []).append((-1 if odd else 1, value, row[j]))
         state = dict(zip(targets, sums(targets.values())))
-    return state[(1 << n) - 1]
+    return state
 
 
 def _sums_of_products(entries):
@@ -340,25 +352,45 @@ def pfaffian_by_matchings(matrix: ExactMatrix):
 
 
 def pfaffian_by_expansion(matrix: ExactMatrix):
-    """Pfaffian by recursive expansion along the first row."""
+    """Pfaffian by expansion along the first row, evaluated bottom-up.
+
+    Pf(S) = sum over the other elements j of S, at 1-based position p after
+    the first element f, of (-1)^(p+1) a[f][j] Pf(S - {f, j}).  The index
+    subsets the expansion reaches from the full set are listed level by
+    level, then the Pfaffian of each is formed from the smaller ones and
+    memoised by its bitmask.
+    """
     _require_skew(matrix)
-    if matrix.rows % 2:
+    n = matrix.rows
+    if n % 2:
         raise ValueError("Pfaffian requires even order")
-
-    def rec(idx: tuple[int, ...]):
-        if not idx:
-            return 1
-        first = idx[0]
-        total = 0
-        for p in range(1, len(idx)):
-            rest = idx[1:p] + idx[p + 1 :]
-            term = matrix.entry(first, idx[p]) * rec(rest)
-            if p % 2 == 0:
-                term = -term
-            total = total + term
-        return total
-
-    return rec(tuple(range(matrix.rows)))
+    entries = matrix._entries
+    levels = [{(1 << n) - 1}]
+    while len(levels) <= n // 2:
+        below = set()
+        for mask in levels[-1]:
+            rest = mask & (mask - 1)  # drop the first element
+            others = rest
+            while others:
+                low = others & -others
+                below.add(rest ^ low)
+                others ^= low
+        levels.append(below)
+    pf = {0: 1}
+    for level in reversed(levels[:-1]):
+        for mask in level:
+            first = (mask & -mask).bit_length() - 1
+            rest = mask & (mask - 1)
+            row = entries[first * n : (first + 1) * n]
+            total, others, plus = 0, rest, True
+            while others:
+                low = others & -others
+                term = row[low.bit_length() - 1] * pf[rest ^ low]
+                total = total + term if plus else total - term
+                others ^= low
+                plus = not plus
+            pf[mask] = total
+    return pf[(1 << n) - 1]
 
 
 def upper_twos(n: int) -> ExactMatrix:
@@ -387,13 +419,22 @@ def shift_entries(matrix: ExactMatrix, x) -> ExactMatrix:
 def sum_max_minors(matrix: ExactMatrix):
     """Sum of all maximal (rows x rows) minors of a wide matrix.
 
-    Direct enumeration over column subsets; this is the oracle the Pfaffian
-    and determinant routes are checked against.  An empty (0 x n) matrix has
-    minor sum 1 by the empty-determinant convention.
+    This is the direct route the Pfaffian and determinant routes are
+    checked against.  A square matrix takes one determinant.  A wide one
+    with few rows (m rows, n columns) runs the column-subset expansion of
+    the determinant over every row, whose last row holds each maximal minor
+    once: about sum_{r<m} C(n, r) (n - r) ring products.  That grows like
+    2^n, so where it exceeds C(n, m) determinants of about m^3 products each
+    (m close to n), the minors are taken one by one instead.  An empty
+    (0 x n) matrix has minor sum 1 by the empty-determinant convention.
     """
     m, n = matrix.rows, matrix.cols
     if m > n:
         raise ValueError("matrix must have rows <= cols")
+    if m == n:
+        return determinant(matrix)
+    if sum(math.comb(n, r) * (n - r) for r in range(m)) <= math.comb(n, m) * m**3:
+        return functools.reduce(operator.add, _column_subset_dp(matrix, signed=True).values())
     total = 0
     for cols in itertools.combinations(range(n), m):
         total = total + determinant(matrix.submatrix(range(m), cols))

@@ -19,7 +19,13 @@ counterpart extends every hook across the axis and puts weight 1/2 on the
 horizontal lozenge ending each shifted hook.  The squared free-boundary
 count of the one-sided region equals 2^(surviving hooks) times the weighted
 count of the two-sided one, and both sides are also evaluated through
-maximal-minor sums and determinants of binomial path matrices.
+maximal-minor sums and determinants of binomial path matrices.  Both
+builders emit their cells column by column from the hook arithmetic: the
+plain hooks start right of the forced leftmost strip, a shifted hook adds
+its labelled cells unless it is removed, and a free edge sits at line 0 on
+every hook that reaches column -1.  wedge_hook gives a whole hook from the
+same generator as a cell set, and shifted_wedge_hook moves its leftmost
+cell to the right end.
 
 Tilers.  Every tiler works on one integer plan of the region: the cells
 as indices in sorted order, each cell's partner indices in cell_partners
@@ -61,14 +67,6 @@ def _R(x: int, y: int) -> Cell:
     return Cell(x, y, "R")
 
 
-def _check_cell(cell: Cell) -> None:
-    if cell.orient not in ("L", "R"):
-        raise ValueError(f"bad orientation {cell.orient!r}")
-    want_even = cell.orient == "L"
-    if ((cell.x + cell.y) % 2 == 0) != want_even:
-        raise ValueError(f"cell {cell} violates the lattice parity")
-
-
 # The lozenge partners of an L and of an R cell, as (dx, dy, orientation).
 _PARTNER_STEPS = {
     "L": ((1, 0, "R"), (0, 1, "R"), (0, -1, "R")),
@@ -96,9 +94,13 @@ class Region:
     """A finite set of cells with lozenge weights and optional free edges."""
 
     def __init__(self, cells, free_edges=(), weights=None):
-        self.cells = frozenset(Cell(*c) for c in cells)
+        self.cells = frozenset(c if type(c) is Cell else Cell(*c) for c in cells)
         for cell in self.cells:
-            _check_cell(cell)
+            x, y, orient = cell
+            if orient not in ("L", "R"):
+                raise ValueError(f"bad orientation {orient!r}")
+            if (x + y) % 2 != (orient == "R"):
+                raise ValueError(f"cell {cell} violates the lattice parity")
         self.free_edges = frozenset((int(a), int(b)) for a, b in free_edges)
         for line, y in self.free_edges:
             touching = [c for c in (_L(line - 1, y), _R(line, y)) if c in self.cells]
@@ -106,7 +108,7 @@ class Region:
                 raise ValueError(f"free edge ({line},{y}) is not on the region boundary")
         self.weights: dict[frozenset, Fraction] = {}
         for key, value in (weights or {}).items():
-            group = frozenset(Cell(*c) for c in key)
+            group = frozenset(c if type(c) is Cell else Cell(*c) for c in key)
             if not group <= self.cells:
                 raise ValueError(f"weighted lozenge {sorted(group)} not inside the region")
             if len(group) == 2:
@@ -208,7 +210,11 @@ def _tiling_plan(region: Region) -> _Plan:
         [j for dx, dy, p in _PARTNER_STEPS[o] if (j := get((x + dx, y + dy, p))) is not None]
         for x, y, o in cells
     ]
-    free = [cell_vertical_side(c) in region.free_edges for c in cells]
+    free_edges = region.free_edges
+    if free_edges:
+        free = [cell_vertical_side(c) in free_edges for c in cells]
+    else:
+        free = [False] * len(cells)
     values = [Fraction(w) for w in region.weights.values()]
     scale = math.lcm(*(w.denominator for w in values))
     weights = {}
@@ -426,14 +432,7 @@ def wedge_hook(order: int, level: int = 0) -> frozenset[Cell]:
         raise ValueError("order must be >= 1")
     if level % 2:
         raise ValueError("level must be even")
-    cells = set()
-    for c in range(-order, 0):
-        cells.add(_R(c, level + c + 1))
-        cells.add(_L(c, level + c + 2))
-    for c in range(0, order):
-        cells.add(_L(c, level - c))
-        cells.add(_R(c, level - c + 1))
-    return frozenset(cells)
+    return frozenset(_hook_cells(level, -order, order))
 
 
 def shifted_wedge_hook(order: int, level: int = 0) -> frozenset[Cell]:
@@ -444,34 +443,34 @@ def shifted_wedge_hook(order: int, level: int = 0) -> frozenset[Cell]:
     return frozenset(cells)
 
 
-def _hook_layout(m: int, shape):
-    """Hook orders/levels plus labeled cells of the shifted hooks.
+def _hook_cells(level: int, lo: int, hi: int):
+    """The cells of columns lo .. hi-1 of the chevron hook at the given level
+    (as in wedge_hook: rising to the left of line 0, falling to its right)."""
+    for c in range(lo, min(hi, 0)):
+        yield Cell(c, level + c + 1, "R")
+        yield Cell(c, level + c + 2, "L")
+    for c in range(max(lo, 0), hi):
+        yield Cell(c, level - c, "L")
+        yield Cell(c, level - c + 1, "R")
+
+
+def _hook_layout(m: int, shape: tuple[int, ...]):
+    """(order, level) of the plain hooks and (part, level) of the shifted
+    hooks of a validated shape.
 
     Plain hooks of order shape[0] + 1 sit on top, then one shifted hook per
-    part, all stepping down one lozenge height per hook.
+    part, all stepping down one lozenge height per hook.  The leftmost strip,
+    column -(shape[0] + 1), is forced and is dropped from the region; only the
+    plain hooks reach it, so each plain hook starts at its column -order + 1.
+    A shifted hook of order part is a wedge_hook with its leftmost R cell
+    moved to the right end: its full columns are -part + 1 .. part - 1, its
+    left label is the lone L(-part, level - part + 2) and its right label the
+    lone R(part, level - part + 1).
     """
-    shape = validate_strict_partition(shape)
     k = len(shape)
     plain = [(shape[0] + 1, 2 * (k + m - t)) for t in range(1, m + 1)] if k else []
-    shifted = []
-    for i, part in enumerate(shape, start=1):
-        level = 2 * (k - i)
-        left_label = _L(-part, level - part + 2)
-        right_label = _R(part, level - part + 1)
-        half_pair = frozenset((_L(part - 1, level - part + 1), right_label))
-        shifted.append((part, level, left_label, right_label, half_pair))
+    shifted = [(part, 2 * (k - i)) for i, part in enumerate(shape, start=1)]
     return plain, shifted
-
-
-def _strip_deletion(m: int, shape) -> set[Cell]:
-    # The leftmost strip is forced and is dropped from the region (only the
-    # plain hooks reach it, so this applies when m >= 1).
-    if m < 1 or not shape:
-        return set()
-    c = -(shape[0] + 1)
-    return {_R(c, 2 * (len(shape) + m - t) + c + 1) for t in range(1, m + 1)} | {
-        _L(c, 2 * (len(shape) + m - t) + c + 2) for t in range(1, m + 1)
-    }
 
 
 def free_hook_region(m: int, shape, removed=()) -> Region:
@@ -483,16 +482,17 @@ def free_hook_region(m: int, shape, removed=()) -> Region:
     shape = validate_strict_partition(shape)
     removed = _validate_removed(removed, len(shape))
     plain, shifted = _hook_layout(m, shape)
-    cells: set[Cell] = set()
+    cells: list[Cell] = []
+    free = []  # each hook reaching column -1 has its free edge at (0, level + 1)
     for order, level in plain:
-        cells |= {c for c in wedge_hook(order, level) if c.x < 0}
-    for i, (order, level, left_label, _right, _half) in enumerate(shifted, start=1):
-        part = {c for c in shifted_wedge_hook(order, level) if c.x < 0}
-        if i in removed:
-            part.discard(left_label)
-        cells |= part
-    cells -= _strip_deletion(m, shape)
-    free = {(0, c.y) for c in cells if c.orient == "L" and c.x == -1}
+        cells.extend(_hook_cells(level, 1 - order, 0))
+        free.append((0, level + 1))
+    for i, (part, level) in enumerate(shifted, start=1):
+        cells.extend(_hook_cells(level, 1 - part, 0))
+        if i not in removed:
+            cells.append(Cell(-part, level - part + 2, "L"))
+        if part > 1 or i not in removed:
+            free.append((0, level + 1))
     return Region(cells, free, {})
 
 
@@ -506,19 +506,16 @@ def mirrored_hook_region(m: int, shape, removed=()) -> Region:
     shape = validate_strict_partition(shape)
     removed = _validate_removed(removed, len(shape))
     plain, shifted = _hook_layout(m, shape)
-    cells: set[Cell] = set()
+    cells: list[Cell] = []
     weights: dict[frozenset, Fraction] = {}
     for order, level in plain:
-        cells |= wedge_hook(order, level)
-    for i, (order, level, left_label, right_label, half_pair) in enumerate(shifted, start=1):
-        part = set(shifted_wedge_hook(order, level))
-        if i in removed:
-            part.discard(left_label)
-            part.discard(right_label)
-        else:
-            weights[half_pair] = Fraction(1, 2)
-        cells |= part
-    cells -= _strip_deletion(m, shape)
+        cells.extend(_hook_cells(level, 1 - order, order))
+    for i, (part, level) in enumerate(shifted, start=1):
+        cells.extend(_hook_cells(level, 1 - part, part))
+        if i not in removed:
+            right_label = Cell(part, level - part + 1, "R")
+            cells += (Cell(-part, level - part + 2, "L"), right_label)
+            weights[frozenset((Cell(part - 1, level - part + 1, "L"), right_label))] = Fraction(1, 2)
     return Region(cells, (), weights)
 
 
@@ -562,7 +559,6 @@ def mirrored_tiling_gf_formula(m: int, shape, removed=()):
 
     Evaluated as det[M U M^T] / 2^rows, so the matrix products stay on ints.
     """
-    shape = validate_strict_partition(shape)
     z = binomial_path_matrix(m, shape, removed)
     return _exact_quotient(determinant(upper_twos_gram(z)), 2**z.rows)
 

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathtiles.linalg import (
     ExactMatrix,
@@ -349,3 +351,106 @@ def test_one_factors_does_not_recurse():
     calls = {node.func.id for node in ast.walk(function) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert not nested
     assert "one_factors" not in calls
+
+
+def test_pfaffian_by_expansion_matches_matchings():
+    rng = random.Random(31)
+    for n in range(0, 11, 2):
+        for _ in range(3):
+            a = random_skew_matrix(rng, n)
+            assert pfaffian_by_expansion(a) == pfaffian_by_matchings(a)
+        if n <= 6:  # one indeterminate per entry above the diagonal
+            rows = [[0] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                rows[i][j] = QtPolynomial({(i, j): 1})
+                rows[j][i] = -rows[i][j]
+            symbolic = ExactMatrix.from_rows(rows)
+            assert pfaffian_by_expansion(symbolic) == pfaffian_by_matchings(symbolic)
+    a = random_skew_matrix(rng, 16)
+    assert pfaffian_by_expansion(a) ** 2 == determinant(a)
+    assert pfaffian(a) == pfaffian_by_expansion(a)
+    with pytest.raises(ValueError):
+        pfaffian_by_expansion(ExactMatrix.zero(3, 3))
+
+
+def test_linalg_module_does_not_recurse():
+    tree = ast.parse(inspect.getsource(linalg))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert len(functions) > 20
+    for function in functions:
+        nested = [node for node in ast.walk(function)
+                  if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not function]
+        called = {node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                  for node in ast.walk(function) if isinstance(node, ast.Call)}
+        assert not nested, function.name
+        assert function.name not in called, function.name
+
+
+def _leibniz_minor_sum(rows, cols, entries):
+    """Sum over the rows-subsets of columns of the permutation sum of the
+    minor on them; entries is the row-major list of a rows x cols matrix."""
+    total = 0
+    for subset in itertools.combinations(range(cols), rows):
+        for perm in itertools.permutations(subset):
+            term = 1
+            for i, j in enumerate(perm):
+                term = term * entries[i * cols + j]
+            inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+            total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_sum_max_minors_matches_leibniz_oracle():
+    rng = random.Random(37)
+    makers = (
+        lambda: rng.randint(-10**9, 10**9),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        lambda: _random_polynomial(rng, rng.randint(0, 4), 9) if rng.random() < 0.8 else rng.randint(-3, 3),
+    )
+    for make in makers:
+        for m in range(0, 5):
+            for n in range(m, 7):
+                if make is makers[2] and n > 5:
+                    continue
+                entries = [make() for _ in range(m * n)]
+                assert sum_max_minors(ExactMatrix(m, n, entries)) == _leibniz_minor_sum(m, n, entries), (m, n)
+    for n in range(5):
+        assert sum_max_minors(ExactMatrix.zero(0, n)) == 1
+    square = random_integer_matrix(rng, 4, 4)
+    flat = [x for row in square.to_rows() for x in row]
+    assert sum_max_minors(square) == determinant(square) == _leibniz_minor_sum(4, 4, flat)
+    for m, n in ((1, 0), (3, 2), (5, 4)):
+        with pytest.raises(ValueError, match="rows <= cols"):
+            sum_max_minors(ExactMatrix.zero(m, n))
+
+
+def test_sum_max_minors_square_and_near_square_past_the_subset_dp():
+    # G = lower * upper has det d, the product of upper's diagonal.  The
+    # minors of G [I | v] are d times those of [I | v]: 1 without column v,
+    # and (-1)^(m-1-j) v[j] without column j.
+    rng = random.Random(43)
+    for m in (11, 24, 25):
+        lower = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(m)] for i in range(m)]
+        upper = [[rng.choice((-2, -1, 1, 2, 3)) if i == j else rng.randint(-2, 2) if j > i else 0
+                  for j in range(m)] for i in range(m)]
+        g = ExactMatrix.from_rows(lower) * ExactMatrix.from_rows(upper)
+        d = math.prod(upper[i][i] for i in range(m))
+        assert sum_max_minors(g) == d
+        v = [rng.randint(-9, 9) for _ in range(m)]
+        wide = g * ExactMatrix.from_rows([[int(i == j) for j in range(m)] + [v[i]] for i in range(m)])
+        assert sum_max_minors(wide) == d * (1 + sum((-1) ** (m - 1 - j) * v[j] for j in range(m))), m
+
+
+_scalars = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=7),
+)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_sum_max_minors_matches_leibniz_oracle_hypothesis(data):
+    m = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(m, 6))
+    entries = data.draw(st.lists(_scalars, min_size=m * n, max_size=m * n))
+    assert sum_max_minors(ExactMatrix(m, n, entries)) == _leibniz_minor_sum(m, n, entries)

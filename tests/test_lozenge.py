@@ -129,6 +129,15 @@ def test_square_identity_spot_cases():
     assert check_square_identity(1, (3, 2), (2,))
 
 
+def test_formula_identity_on_square_and_near_square_path_matrices():
+    # 25 parts give a 25 x 25 path matrix at m = 0 and 25 x 26 at m = 1:
+    # orders the column-subset expansion of the minor sum cannot reach.
+    shape = tuple(range(25, 0, -1))
+    for m in (0, 1):
+        free = free_tiling_count_formula(m, shape)
+        assert free * free == 2**25 * mirrored_tiling_gf_formula(m, shape), m
+
+
 def test_large_shape_builds_and_matches_formula_identity():
     # The shape from the worked two-sided example: formula routes only.
     shape = (9, 8, 7, 4, 3, 1)
@@ -156,6 +165,97 @@ def test_removed_hook_validation():
         free_hook_region(1, (2, 1), (3,))
     with pytest.raises(ValueError):
         free_hook_region(1, (1, 2))  # not strictly decreasing
+
+
+def _chevron(order, level):
+    """A chevron hook, column by column: R then L rising left of line 0,
+    L then R falling right of it."""
+    cells = set()
+    for c in range(-order, 0):
+        cells |= {Cell(c, level + c + 1, "R"), Cell(c, level + c + 2, "L")}
+    for c in range(order):
+        cells |= {Cell(c, level - c, "L"), Cell(c, level - c + 1, "R")}
+    return cells
+
+
+def _shifted_chevron(order, level):
+    return _chevron(order, level) - {Cell(-order, level - order + 1, "R")} | {Cell(order, level - order + 1, "R")}
+
+
+def test_wedge_hooks_match_the_chevron():
+    for order in range(1, 9):
+        for level in range(-6, 8, 2):
+            assert wedge_hook(order, level) == _chevron(order, level)
+            assert shifted_wedge_hook(order, level) == _shifted_chevron(order, level)
+    with pytest.raises(ValueError, match="level must be even"):
+        wedge_hook(2, 1)
+
+
+def _hook_regions_from_sets(m, shape, removed):
+    """Both hook regions as (cells, free edges, weights), assembled from
+    whole chevron hooks as sets: x < 0 filters for the free side, labels
+    discarded for removed hooks, the forced leftmost strip of the plain
+    hooks subtracted at the end."""
+    k = len(shape)
+    plain = [(shape[0] + 1, 2 * (k + m - t)) for t in range(1, m + 1)] if k else []
+    strip = set()
+    for order, level in plain:
+        strip |= {Cell(-order, level - order + 1, "R"), Cell(-order, level - order + 2, "L")}
+    one_sided, two_sided, weights = set(), set(), {}
+    for order, level in plain:
+        hook = _chevron(order, level)
+        one_sided |= {c for c in hook if c.x < 0}
+        two_sided |= hook
+    for i, part in enumerate(shape, start=1):
+        level = 2 * (k - i)
+        left, right = Cell(-part, level - part + 2, "L"), Cell(part, level - part + 1, "R")
+        hook = _shifted_chevron(part, level)
+        half = {c for c in hook if c.x < 0}
+        if i in removed:
+            half.discard(left)
+            hook -= {left, right}
+        else:
+            weights[frozenset({Cell(part - 1, level - part + 1, "L"), right})] = Fraction(1, 2)
+        one_sided |= half
+        two_sided |= hook
+    one_sided -= strip
+    two_sided -= strip
+    free_edges = {(0, c.y) for c in one_sided if c.orient == "L" and c.x == -1}
+    return (one_sided, free_edges, {}), (two_sided, set(), weights)
+
+
+def test_hook_builders_match_the_set_construction():
+    cases = [(m, (), ()) for m in range(3)]
+    for shape in strict_partitions(7, 4):
+        hooks = range(1, len(shape) + 1)
+        for m in range(4):
+            for r in range(len(shape) + 1):
+                cases.extend((m, shape, removed) for removed in itertools.combinations(hooks, r))
+    assert len(cases) == 3 + 3752
+    for m, shape, removed in cases:
+        want_free, want_mirrored = _hook_regions_from_sets(m, shape, removed)
+        for region, want in ((free_hook_region(m, shape, removed), want_free),
+                             (mirrored_hook_region(m, shape, removed), want_mirrored)):
+            assert (region.cells, region.free_edges, region.weights) == want, (m, shape, removed)
+            assert all(type(c) is Cell for c in region.cells)
+
+
+def test_region_keeps_cells_and_converts_tuples():
+    kept = Cell(0, 0, "L")
+    region = Region([kept, (0, 1, "R"), [1, 0, "R"]], weights={frozenset({(0, 0, "L"), (1, 0, "R")}): 2})
+    assert region.cells == {Cell(0, 0, "L"), Cell(0, 1, "R"), Cell(1, 0, "R")}
+    assert all(type(c) is Cell for c in region.cells)
+    assert any(c is kept for c in region.cells)
+    (key,) = region.weights
+    assert all(type(c) is Cell for c in key)
+    for bad in ((0, 0, "X"), Cell(0, 0, "X")):
+        with pytest.raises(ValueError, match=r"^bad orientation 'X'$"):
+            Region([bad])
+    for bad in ((0, 1, "L"), [0, 1, "L"], Cell(0, 1, "L")):
+        with pytest.raises(ValueError, match=r"^cell Cell\(x=0, y=1, orient='L'\) violates the lattice parity$"):
+            Region([Cell(1, 1, "L"), bad])
+    with pytest.raises(ValueError, match="violates the lattice parity"):
+        Region([(1, 1, "R")])
 
 
 def test_doubling_self_test():

@@ -13,7 +13,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix, pfaffian, sum_max_minors_squared
+from .linalg import ExactMatrix, sum_max_minors_pfaffian, sum_max_minors_squared
 from .ring import parse_scalar, scalar_str
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -349,38 +349,12 @@ def signed_sum_squared_dets(graph: WeightedDag, spec: EndpointSpec):
 def unfixed_end_pfaffian(graph: WeightedDag, spec: EndpointSpec):
     """Pfaffian formula for path families with unfixed ending points.
 
-    Builds the skew matrix Q with Q[i,j] = sum over end pairs s < t of the
-    2x2 path-matrix minors, and returns Pf[Q].  For an odd number of starts
-    the matrix is bordered by the path-matrix row sums (the phantom
-    start-equals-end vertex), giving a Pfaffian of order m + 1.
+    Wraps linalg.sum_max_minors_pfaffian on the path matrix: Pf[M E M^T],
+    whose entries are sums of 2x2 path-matrix minors over end pairs s < t,
+    bordered for an odd number of starts by the path-matrix row sums (the
+    phantom start-equals-end vertex).  No starts give 1.
     """
-    m = path_matrix(graph, spec)
-    rows, n = m.rows, m.cols
-    if rows > n:
-        raise ValueError("need at least as many ends as starts")
-    q = [[0] * rows for _ in range(rows)]
-    for i in range(rows):
-        for j in range(i + 1, rows):
-            acc = 0
-            for s in range(n):
-                for tt in range(s + 1, n):
-                    acc = acc + m.entry(i, s) * m.entry(j, tt) - m.entry(i, tt) * m.entry(j, s)
-            q[i][j] = acc
-            q[j][i] = -acc
-    if rows % 2:
-        sums = [sum_row(m, i) for i in range(rows)]
-        bord = [[0] + sums]
-        for i in range(rows):
-            bord.append([-sums[i]] + q[i])
-        q = bord
-    return pfaffian(ExactMatrix.from_rows(q))
-
-
-def sum_row(matrix: ExactMatrix, i: int):
-    acc = 0
-    for x in matrix.row(i):
-        acc = acc + x
-    return acc
+    return sum_max_minors_pfaffian(path_matrix(graph, spec))
 
 
 def grid_graph(width: int, height: int, weight=1) -> WeightedDag:

@@ -36,7 +36,12 @@ Pfaffian is memoised by its bitmask, so nothing in this module recurses.
 
 ``upper_twos_gram`` forms Z U Z^T, the matrix of the squared minor-sum
 identity, by running sums and dot products without forming U; polynomial
-entries make one kernel call for all of it.
+entries make one kernel call for all of it.  The Okada-Stembridge Pfaffian
+Pf[Z E Z^T] of ``sum_max_minors_pfaffian`` is read off the same Gram matrix:
+E = skew_ones(n) = U - J with J the all-ones matrix, so
+Z E Z^T = Z U Z^T - s s^T, where s holds the row sums of Z.  An odd row
+count borders that matrix by s, which is Z E Z^T for Z with a unit corner
+added.
 """
 
 from __future__ import annotations
@@ -270,14 +275,6 @@ def upper_twos_gram(z: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(z.rows, z.rows, _sums_of_products(z._entries)(targets))
 
 
-def is_skew_symmetric(matrix: ExactMatrix) -> bool:
-    try:
-        _require_skew(matrix)
-    except ValueError:
-        return False
-    return True
-
-
 def _require_skew(matrix: ExactMatrix) -> None:
     if matrix.rows != matrix.cols:
         raise ValueError("skew-symmetric matrix must be square")
@@ -322,11 +319,9 @@ def pfaffian(matrix: ExactMatrix):
     """Pfaffian of an even-order skew-symmetric matrix.
 
     Signed sum over perfect matchings for order <= 10 (<= 945 terms),
-    first-row Laplace-style expansion above that.
+    first-row Laplace-style expansion above that.  Each of the two checks
+    skew-symmetry and parity itself.
     """
-    _require_skew(matrix)
-    if matrix.rows % 2:
-        raise ValueError("Pfaffian requires even order")
     if matrix.rows <= 10:
         return pfaffian_by_matchings(matrix)
     return pfaffian_by_expansion(matrix)
@@ -441,34 +436,22 @@ def sum_max_minors(matrix: ExactMatrix):
     return total
 
 
-def _bordered(matrix: ExactMatrix) -> ExactMatrix:
-    """Add a leading row/column with a single 1 in the corner."""
-    m, n = matrix.rows, matrix.cols
-    out = []
-    out.append([1] + [0] * n)
-    for i in range(m):
-        out.append([0] + matrix.row(i))
-    return ExactMatrix.from_rows(out)
-
-
 def sum_max_minors_pfaffian(matrix: ExactMatrix):
-    """Maximal-minor sum evaluated through a Pfaffian.
+    """Maximal-minor sum as the Okada-Stembridge Pfaffian Pf[Z E Z^T].
 
-    Even row count m: Pf[Z E Z^T] with E = skew_ones(n).  Odd m: border Z
-    with a unit corner first, giving an order m+1 Pfaffian.
+    Q = Z E Z^T is upper_twos_gram(Z) - s s^T for the row sums s of Z; for
+    odd m it is bordered as [[0, s^T], [-s, Q]], an order m + 1 Pfaffian.
+    An empty (0 x n) matrix gives 1, as in sum_max_minors.
     """
     m, n = matrix.rows, matrix.cols
-    if m < 1:
-        raise ValueError("requires at least one row")
     if m > n:
         raise ValueError("matrix must have rows <= cols")
-    if m % 2 == 0:
-        z = matrix
-        e = skew_ones(n)
-    else:
-        z = _bordered(matrix)
-        e = skew_ones(n + 1)
-    return pfaffian(z * e * z.transpose())
+    gram = upper_twos_gram(matrix).to_rows()
+    sums = [sum(row) for row in matrix.to_rows()]
+    q = [[g - a * b for g, b in zip(row, sums)] for row, a in zip(gram, sums)]
+    if m % 2:
+        q = [[0] + sums] + [[-a] + row for row, a in zip(q, sums)]
+    return pfaffian(ExactMatrix.from_rows(q))
 
 
 def sum_max_minors_squared(matrix: ExactMatrix):

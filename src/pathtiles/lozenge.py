@@ -629,35 +629,25 @@ def double_staircase_tiling_product(m: int, n: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _hexagon_cells(m: int, half_side: int) -> set[Cell]:
-    """Hexagon with vertical sides 2m and slant sides half_side.
-
-    Spans strips 0 .. 2*half_side - 1 with its horizontal symmetry axis at
-    height 0 and vertical symmetry axis on line half_side.
+def _half_hexagon_cells(m: int, half_side: int) -> set[Cell]:
+    """Left half of the hexagon with vertical sides 2m and slant sides
+    half_side: strips 0 .. half_side - 1, horizontal symmetry axis at height
+    0.  The whole hexagon is this half and its mirror across line half_side.
     """
-    n = half_side
     cells: set[Cell] = set()
-    for c in range(0, n):
+    for c in range(half_side):
         for y in range(-(2 * m + c), 2 * m + c + 1):
             if (c + y) % 2 == 0:
                 cells.add(_L(c, y))
             elif abs(y) <= 2 * m + c - 1:
                 cells.add(_R(c, y))
-    for c in range(n, 2 * n):
-        d = 2 * n - 1 - c
-        for y in range(-(2 * m + d), 2 * m + d + 1):
-            if (c + y) % 2 == 1:
-                cells.add(_R(c, y))
-            elif abs(y) <= 2 * m + d - 1:
-                cells.add(_L(c, y))
     return cells
 
 
-def _hole_cells(line: int, side: str) -> set[Cell]:
-    """Cells of the size-2 triangle containing the axis lozenge at a line."""
-    if side == "left":
-        return {_L(line - 1, 0), _R(line, 0), _L(line, -1), _L(line, 1)}
-    return {_L(line - 1, 0), _R(line, 0), _R(line - 1, -1), _R(line - 1, 1)}
+def _hole_cells(line: int) -> set[Cell]:
+    """Cells of the size-2 triangle, pointing left, that contains the axis
+    lozenge at a line."""
+    return {_L(line - 1, 0), _R(line, 0), _L(line, -1), _L(line, 1)}
 
 
 def holed_hexagon(m: int, n: int, holes=()) -> Region:
@@ -672,31 +662,23 @@ def holed_hexagon(m: int, n: int, holes=()) -> Region:
     holes = frozenset(int(h) for h in holes)
     if not holes <= set(range(1, n // 2 + 1)):
         raise ValueError(f"hole labels {sorted(holes)} out of range 1..{n // 2}")
-    cells = _hexagon_cells(m, n)
+    left = _half_hexagon_cells(m, n)
     for h in holes:
-        cells -= _hole_cells(2 * h - 1, "left")
-        cells -= _hole_cells(2 * n - 2 * h + 1, "right")
-    return Region(cells, (), {})
+        left -= _hole_cells(2 * h - 1)
+    return Region(left | reflect_cells(left, n), (), {})
 
 
-def _size_triangle_cells(apex_line: int, size: int, pointing: str) -> set[Cell]:
-    """A size-s triangle on the axis: apex on apex_line, base size*2 tall."""
+def _size_triangle_cells(apex_line: int, size: int) -> set[Cell]:
+    """A size-s triangle on the axis, pointing left: apex on apex_line,
+    base size*2 tall."""
     cells: set[Cell] = set()
     for d in range(size):
-        if pointing == "left":
-            c = apex_line + d
-            for y in range(-d, d + 1):
-                if (c + y) % 2 == 0:
-                    cells.add(_L(c, y))
-                elif abs(y) <= d - 1:
-                    cells.add(_R(c, y))
-        else:
-            c = apex_line - 1 - d
-            for y in range(-d, d + 1):
-                if (c + y) % 2 == 1:
-                    cells.add(_R(c, y))
-                elif abs(y) <= d - 1:
-                    cells.add(_L(c, y))
+        c = apex_line + d
+        for y in range(-d, d + 1):
+            if (c + y) % 2 == 0:
+                cells.add(_L(c, y))
+            elif abs(y) <= d - 1:
+                cells.add(_R(c, y))
     return cells
 
 
@@ -714,13 +696,10 @@ def punctured_hexagon(m: int, n: int, x: int, holes=()) -> Region:
         raise ValueError(f"hole labels {sorted(holes)} out of range 1..{n - x}")
     big = 2 * n - 1
     s = 2 * x - 1
-    cells = _hexagon_cells(m, big)
-    cells -= _size_triangle_cells(big - s, s, "left")
-    cells -= _size_triangle_cells(big + s, s, "right")
+    left = _half_hexagon_cells(m, big) - _size_triangle_cells(big - s, s)
     for h in holes:
-        cells -= _hole_cells(2 * h - 1, "left")
-        cells -= _hole_cells(2 * big - 2 * h + 1, "right")
-    return Region(cells, (), {})
+        left -= _hole_cells(2 * h - 1)
+    return Region(left | reflect_cells(left, big), (), {})
 
 
 def check_hexagon_factorization(m: int, n: int, holes=(), variant: str = "a", x: int | None = None, budget: Budget | None = None) -> bool:

@@ -34,8 +34,6 @@ from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
-Rational = Fraction
-
 # Term pairs (sum of |a| * |b|) above which an all-int product is packed.
 # Measured on CPython 3.11, x86-64: the dict loop and the packed multiply
 # break even near 12x12 dense terms; packing is 1.2-1.7x faster at 16x16 and
@@ -88,10 +86,6 @@ class QtPolynomial:
     def terms(self) -> dict[tuple[int, int], int | Fraction]:
         """A copy of the term map; integral coefficients are ints."""
         return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def constant_value(self):
         """The value as an int or Fraction, if the polynomial is constant."""

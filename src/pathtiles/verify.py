@@ -350,34 +350,29 @@ def suite_hexagons(rng) -> list[CheckRecord]:
     def quotient_regions():
         # The symmetric tiling counts of the hexagon match the free/two-sided
         # counts of its quotient hook regions.
-        for m, n, holes in HEXAGON_CASES:
-            if n < 2:
+        cases = [
+            (f"(m={m}, n={n}, holes={holes})", lozenge.holed_hexagon, (m, n, holes),
+             lozenge.staircase_for_hexagon(n))
+            for m, n, holes in HEXAGON_CASES
+        ] + [
+            (f"punctured (m={m}, n={n}, x={x}, holes={holes})", lozenge.punctured_hexagon, (m, n, x, holes),
+             lozenge.staircase_for_punctured_hexagon(n, x))
+            for m, n, x, holes in PUNCTURED_HEXAGON_CASES
+        ]
+        for label, build, args, shape in cases:
+            m, holes = args[0], args[-1]
+            if not shape or any(h > len(shape) for h in holes):
                 continue
-            shape = lozenge.staircase_for_hexagon(n)
-            if any(h > len(shape) for h in holes):
-                continue
-            region = lozenge.holed_hexagon(m, n, holes)
+            region = build(*args)
             both = lozenge.count_symmetric_tilings(region, "both")
             central = lozenge.count_symmetric_tilings(region, "central")
             free = lozenge.count_tilings(lozenge.free_hook_region(m, shape, holes))
             twosided = lozenge.count_tilings(lozenge.mirrored_hook_region(m, shape, holes))
             factor = 2 ** (len(shape) - len(holes))
             if both != free:
-                return False, f"(m={m}, n={n}, holes={holes}): both {both} != free {free}"
+                return False, f"{label}: both {both} != free {free}"
             if central != factor * twosided:
-                return False, f"(m={m}, n={n}, holes={holes}): central {central} != {factor} * {twosided}"
-        for m, n, x, holes in PUNCTURED_HEXAGON_CASES:
-            shape = lozenge.staircase_for_punctured_hexagon(n, x)
-            if not shape or any(h > len(shape) for h in holes):
-                continue
-            region = lozenge.punctured_hexagon(m, n, x, holes)
-            both = lozenge.count_symmetric_tilings(region, "both")
-            central = lozenge.count_symmetric_tilings(region, "central")
-            free = lozenge.count_tilings(lozenge.free_hook_region(m, shape, holes))
-            twosided = lozenge.count_tilings(lozenge.mirrored_hook_region(m, shape, holes))
-            factor = 2 ** (len(shape) - len(holes))
-            if both != free or central != factor * twosided:
-                return False, f"punctured (m={m}, n={n}, x={x}, holes={holes}) quotient mismatch"
+                return False, f"{label}: central {central} != {factor} * {twosided}"
         return True, "symmetric counts match quotient hook regions"
 
     _timed(records, "centrally symmetric counts factor as squares", factorization)

@@ -189,11 +189,12 @@ def test_unfixed_end_pfaffian_matches_signed_sum():
 
 
 def test_unfixed_end_pfaffian_matches_minor_sum_route():
-    # The entrywise 2x2-minor matrix equals the sign-matrix sandwich of the
-    # path matrix, so two independent Pfaffian codepaths must agree.
+    # The Pfaffian of the path matrix's Gram-minus-rank-one matrix against
+    # the column-subset sum of its maximal minors, which shares no code
+    # with it.
     import random
 
-    from pathtiles.linalg import sum_max_minors_pfaffian
+    from pathtiles.linalg import sum_max_minors
 
     rng = random.Random(42)
     g = grid_graph(3, 3)
@@ -202,7 +203,14 @@ def test_unfixed_end_pfaffian_matches_minor_sum_route():
         m = rng.randint(1, 3)
         n = rng.randint(m, 5)
         spec = EndpointSpec(tuple(rng.sample(vertices, m)), tuple(rng.sample(vertices, n)))
-        assert unfixed_end_pfaffian(g, spec) == sum_max_minors_pfaffian(path_matrix(g, spec))
+        assert unfixed_end_pfaffian(g, spec) == sum_max_minors(path_matrix(g, spec))
+
+
+def test_unfixed_end_pfaffian_without_starts_is_one():
+    g = grid_graph(2, 2)
+    for ends in ((), ((2, 2),), ((0, 2), (2, 0))):
+        spec = EndpointSpec((), ends)
+        assert unfixed_end_pfaffian(g, spec) == 1 == signed_path_sum(g, spec)
 
 
 def test_unfixed_end_pfaffian_disjoint_chains():

@@ -424,6 +424,31 @@ def test_sum_max_minors_matches_leibniz_oracle():
             sum_max_minors(ExactMatrix.zero(m, n))
 
 
+def test_sum_max_minors_pfaffian_matches_leibniz_oracle():
+    # Odd and even row counts, over ints, Fractions and polynomials (plain
+    # ints mixed in): the Pfaffian of the Gram matrix minus s s^T, bordered
+    # by s for odd m, is the minor sum.
+    rng = random.Random(41)
+    makers = (
+        lambda: rng.randint(-10**6, 10**6),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        lambda: _random_polynomial(rng, rng.randint(0, 4), 9) if rng.random() < 0.8 else rng.randint(-3, 3),
+    )
+    for make in makers:
+        for m in range(0, 5):
+            for n in range(m, 7):
+                if make is makers[2] and n > 5:
+                    continue
+                entries = [make() for _ in range(m * n)]
+                got = sum_max_minors_pfaffian(ExactMatrix(m, n, entries))
+                assert got == _leibniz_minor_sum(m, n, entries), (m, n)
+    for n in range(5):
+        assert sum_max_minors_pfaffian(ExactMatrix.zero(0, n)) == 1
+    for m, n in ((1, 0), (3, 2), (5, 4)):
+        with pytest.raises(ValueError, match="rows <= cols"):
+            sum_max_minors_pfaffian(ExactMatrix.zero(m, n))
+
+
 def test_sum_max_minors_square_and_near_square_past_the_subset_dp():
     # G = lower * upper has det d, the product of upper's diagonal.  The
     # minors of G [I | v] are d times those of [I | v]: 1 without column v,

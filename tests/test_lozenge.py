@@ -324,6 +324,84 @@ def test_figure_scale_hexagons_build():
     assert _symmetry_maps(punct, "both")
 
 
+def _hexagon_by_loops(m, half_side):
+    # The full hexagon with both halves written out, as the builders once did.
+    n = half_side
+    cells = set()
+    for c in range(0, n):
+        for y in range(-(2 * m + c), 2 * m + c + 1):
+            if (c + y) % 2 == 0:
+                cells.add(Cell(c, y, "L"))
+            elif abs(y) <= 2 * m + c - 1:
+                cells.add(Cell(c, y, "R"))
+    for c in range(n, 2 * n):
+        d = 2 * n - 1 - c
+        for y in range(-(2 * m + d), 2 * m + d + 1):
+            if (c + y) % 2 == 1:
+                cells.add(Cell(c, y, "R"))
+            elif abs(y) <= 2 * m + d - 1:
+                cells.add(Cell(c, y, "L"))
+    return cells
+
+
+def _hole_by_loops(line, side):
+    if side == "left":
+        return {Cell(line - 1, 0, "L"), Cell(line, 0, "R"), Cell(line, -1, "L"), Cell(line, 1, "L")}
+    return {Cell(line - 1, 0, "L"), Cell(line, 0, "R"), Cell(line - 1, -1, "R"), Cell(line - 1, 1, "R")}
+
+
+def _triangle_by_loops(apex_line, size, pointing):
+    cells = set()
+    for d in range(size):
+        if pointing == "left":
+            c = apex_line + d
+            for y in range(-d, d + 1):
+                if (c + y) % 2 == 0:
+                    cells.add(Cell(c, y, "L"))
+                elif abs(y) <= d - 1:
+                    cells.add(Cell(c, y, "R"))
+        else:
+            c = apex_line - 1 - d
+            for y in range(-d, d + 1):
+                if (c + y) % 2 == 1:
+                    cells.add(Cell(c, y, "R"))
+                elif abs(y) <= d - 1:
+                    cells.add(Cell(c, y, "L"))
+    return cells
+
+
+def test_hexagons_built_from_one_half_match_both_halves_by_loops():
+    # Every hole set and puncture for m <= 4, n <= 8: the builders mirror a
+    # left half; the reference writes the right half, its holes and its
+    # puncture triangle out on their own.
+    cases = 0
+    for m in range(1, 5):
+        for n in range(1, 9):
+            hexagon = _hexagon_by_loops(m, n)
+            for r in range(n // 2 + 1):
+                for holes in itertools.combinations(range(1, n // 2 + 1), r):
+                    want = set(hexagon)
+                    for h in holes:
+                        want -= _hole_by_loops(2 * h - 1, "left")
+                        want -= _hole_by_loops(2 * n - 2 * h + 1, "right")
+                    assert holed_hexagon(m, n, holes).cells == want, (m, n, holes)
+                    cases += 1
+            big = 2 * n - 1
+            odd_hexagon = _hexagon_by_loops(m, big)
+            for x in range(1, n + 1):
+                s = 2 * x - 1
+                for r in range(n - x + 1):
+                    for holes in itertools.combinations(range(1, n - x + 1), r):
+                        want = odd_hexagon - _triangle_by_loops(big - s, s, "left")
+                        want -= _triangle_by_loops(big + s, s, "right")
+                        for h in holes:
+                            want -= _hole_by_loops(2 * h - 1, "left")
+                            want -= _hole_by_loops(2 * big - 2 * h + 1, "right")
+                        assert punctured_hexagon(m, n, x, holes).cells == want, (m, n, x, holes)
+                        cases += 1
+    assert cases == 2188
+
+
 def test_asymmetric_region_rejected():
     region = free_hook_region(1, (2,))
     with pytest.raises(ValueError, match="invariant"):

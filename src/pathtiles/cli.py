@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Subcommands: verify (identity suites), compute (single exact values),
-reflect build (mirrored-graph construction), tile count|render, spp gf.
-Exit codes: 0 success, 1 check failure, 2 usage error.  All scalar output
-uses the canonical text form of the ring module.  The environment variable
-TILING_REFLECT_BUDGET overrides the default enumeration caps.
+reflect build (mirrored-graph construction), tile count|verify|render,
+spp gf.  Each leaf subcommand has one handler.  Exit codes: 0 success, 1 a
+failed check or an exhausted budget, 2 a usage error.  Handlers report a
+usage error by raising ValueError (an unreadable or malformed input file
+raises OSError, ValueError or KeyError), and only main turns it into an
+``error:`` line and exit 2.  All scalar output uses the canonical text
+form of the ring module.  The environment variable TILING_REFLECT_BUDGET
+overrides the default enumeration caps.
 """
 
 from __future__ import annotations
@@ -34,11 +38,7 @@ def _load_json(path: str):
 def _cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     command = f"verify --suite {args.suite} --size-budget {args.size_budget} --seed {args.seed}"
-    try:
-        report = verify.run_suites(rng, args.suite, args.size_budget, command)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = verify.run_suites(rng, args.suite, args.size_budget, command)
     for line in report.lines():
         print(line)
     if args.timings:
@@ -47,52 +47,42 @@ def _cmd_verify(args) -> int:
     return report.exit_status
 
 
-def _cmd_compute(args) -> int:
-    if args.object == "path-gf":
-        graph, spec = dag.WeightedDag.from_json(_load_json(args.graph))
-        src = args.source if args.source is not None else (spec.starts[0] if spec else None)
-        dst = args.target if args.target is not None else (spec.ends[0] if spec else None)
-        if src is None or dst is None:
-            print("error: need --source/--target or starts/ends in the graph file", file=sys.stderr)
-            return 2
-        print(scalar_str(dag.path_gf(graph, src, dst)))
-        return 0
-    if args.object == "pfaffian":
-        matrix = ExactMatrix.from_lists(_load_json(args.matrix))
-        print(scalar_str(pfaffian(matrix)))
-        return 0
-    if args.object == "tiling-count":
-        region = lozenge.Region.from_json(_load_json(args.region))
-        print(scalar_str(lozenge.count_tilings(region)))
-        return 0
-    if args.object == "spp-gf":
-        return _spp_gf(args)
-    if args.object == "staircase-product":
-        if args.kind == "free":
-            value = lozenge.double_staircase_free_product(args.m, args.n, args.k)
-        else:
-            value = lozenge.double_staircase_tiling_product(args.m, args.n, args.k)
-        print(scalar_str(value))
-        return 0
-    print(f"error: unknown compute object {args.object!r}", file=sys.stderr)
-    return 2
+def _cmd_path_gf(args) -> int:
+    graph, spec = dag.WeightedDag.from_json(_load_json(args.graph))
+    src = args.source if args.source is not None else (spec.starts[0] if spec else None)
+    dst = args.target if args.target is not None else (spec.ends[0] if spec else None)
+    if src is None or dst is None:
+        raise ValueError("need --source/--target or starts/ends in the graph file")
+    print(scalar_str(dag.path_gf(graph, src, dst)))
+    return 0
 
 
-def _spp_gf(args) -> int:
+def _cmd_pfaffian(args) -> int:
+    matrix = ExactMatrix.from_lists(_load_json(args.matrix))
+    print(scalar_str(pfaffian(matrix)))
+    return 0
+
+
+def _cmd_staircase_product(args) -> int:
+    if args.kind == "free":
+        value = lozenge.double_staircase_free_product(args.m, args.n, args.k)
+    else:
+        value = lozenge.double_staircase_tiling_product(args.m, args.n, args.k)
+    print(scalar_str(value))
+    return 0
+
+
+def _cmd_spp_gf(args) -> int:
     shape = _parse_shape(args.shape)
-    mode = args.mode
-    if mode == "qt":
+    if args.mode == "qt":
         enum = lambda: partitions.qt_gf_enumerated(args.m, shape)
         det = lambda: partitions.qt_gf_determinant(args.m, shape)
-    elif mode == "q-spp":
+    elif args.mode == "q-spp":
         enum = lambda: partitions.spp_volume_gf(args.m, shape)
         det = lambda: partitions.volume_gf(args.m, shape, "spp")
-    elif mode == "q-sym":
+    else:
         enum = lambda: partitions.pp_sym_volume_gf(args.m, partitions.symmetrize_shape(shape))
         det = lambda: partitions.volume_gf(args.m, shape, "pp_sym")
-    else:
-        print(f"error: unknown mode {mode!r}", file=sys.stderr)
-        return 2
     # The determinant evaluates the squared generating function; the
     # enumeration gives the generating function itself.
     if args.method == "enum":
@@ -113,8 +103,7 @@ def _spp_gf(args) -> int:
 def _cmd_reflect_build(args) -> int:
     graph, spec = dag.WeightedDag.from_json(_load_json(args.graph))
     if spec is None:
-        print("error: graph file must carry starts and ends", file=sys.stderr)
-        return 2
+        raise ValueError("graph file must carry starts and ends")
     inp = reflect.ReflectionInput(graph, spec)
     doubled, new_spec = reflect.build_mirrored_graph(inp, args.variant)
     doc = doubled.to_json(starts=new_spec.starts, ends=new_spec.ends)
@@ -127,26 +116,29 @@ def _cmd_reflect_build(args) -> int:
     return 0
 
 
-def _cmd_tile(args) -> int:
+def _cmd_tile_count(args) -> int:
     region = lozenge.Region.from_json(_load_json(args.region))
-    if args.action == "count":
-        print(scalar_str(lozenge.count_tilings(region)))
-        return 0
-    if args.action == "verify":
-        central = lozenge.count_symmetric_tilings(region, "central")
-        both = lozenge.count_symmetric_tilings(region, "both")
-        ok = central == both * both
-        print(f"central={central} central+vertical={both} {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-    if args.action == "render":
-        tiling = None
-        if args.sample_tiling is not None:
-            tiling = lozenge.sample_tiling(region, random.Random(args.sample_tiling))
-        render.write_region_svg(region, args.out, tiling)
-        print(args.out)
-        return 0
-    print(f"error: unknown tile action {args.action!r}", file=sys.stderr)
-    return 2
+    print(scalar_str(lozenge.count_tilings(region)))
+    return 0
+
+
+def _cmd_tile_verify(args) -> int:
+    region = lozenge.Region.from_json(_load_json(args.region))
+    central = lozenge.count_symmetric_tilings(region, "central")
+    both = lozenge.count_symmetric_tilings(region, "both")
+    ok = central == both * both
+    print(f"central={central} central+vertical={both} {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
+
+
+def _cmd_tile_render(args) -> int:
+    region = lozenge.Region.from_json(_load_json(args.region))
+    tiling = None
+    if args.sample_tiling is not None:
+        tiling = lozenge.sample_tiling(region, random.Random(args.sample_tiling))
+    render.write_region_svg(region, args.out, tiling)
+    print(args.out)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,19 +163,19 @@ def build_parser() -> argparse.ArgumentParser:
     c_path.add_argument("--graph", required=True, help="graph JSON file")
     c_path.add_argument("--source")
     c_path.add_argument("--target")
-    c_path.set_defaults(func=_cmd_compute)
+    c_path.set_defaults(func=_cmd_path_gf)
 
     c_pf = sub_compute.add_parser("pfaffian", help="Pfaffian of a skew-symmetric matrix")
     c_pf.add_argument("--matrix", required=True, help="matrix JSON file (rows of scalar strings)")
-    c_pf.set_defaults(func=_cmd_compute)
+    c_pf.set_defaults(func=_cmd_pfaffian)
 
     c_tc = sub_compute.add_parser("tiling-count", help="tiling generating function of a region")
     c_tc.add_argument("--region", required=True, help="region JSON file")
-    c_tc.set_defaults(func=_cmd_compute)
+    c_tc.set_defaults(func=_cmd_tile_count)
 
     c_spp = sub_compute.add_parser("spp-gf", help="shifted plane partition generating function")
     _add_spp_args(c_spp)
-    c_spp.set_defaults(func=_cmd_compute)
+    c_spp.set_defaults(func=_cmd_spp_gf)
 
     c_prod = sub_compute.add_parser(
         "staircase-product", help="double-staircase product formula evaluation"
@@ -197,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("tiling", "free"),
         help="two-sided tiling GF (default) or the free-boundary count",
     )
-    c_prod.set_defaults(func=_cmd_compute)
+    c_prod.set_defaults(func=_cmd_staircase_product)
 
     p_reflect = sub.add_parser("reflect", help="mirrored-graph constructions")
     sub_reflect = p_reflect.add_subparsers(dest="action", required=True)
@@ -211,21 +203,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub_tile = p_tile.add_subparsers(dest="action", required=True)
     t_count = sub_tile.add_parser("count", help="count tilings of a region")
     t_count.add_argument("--region", required=True)
-    t_count.set_defaults(func=_cmd_tile)
+    t_count.set_defaults(func=_cmd_tile_count)
     t_verify = sub_tile.add_parser("verify", help="check the symmetric-count factorization")
     t_verify.add_argument("--region", required=True)
-    t_verify.set_defaults(func=_cmd_tile)
+    t_verify.set_defaults(func=_cmd_tile_verify)
     t_render = sub_tile.add_parser("render", help="emit an SVG figure")
     t_render.add_argument("--region", required=True)
     t_render.add_argument("--out", required=True)
     t_render.add_argument("--sample-tiling", type=int, default=None, metavar="SEED")
-    t_render.set_defaults(func=_cmd_tile)
+    t_render.set_defaults(func=_cmd_tile_render)
 
     p_spp = sub.add_parser("spp", help="plane partition generating functions")
     sub_spp = p_spp.add_subparsers(dest="action", required=True)
     s_gf = sub_spp.add_parser("gf", help="generating function of shifted plane partitions")
     _add_spp_args(s_gf)
-    s_gf.set_defaults(func=_cmd_compute, object="spp-gf")
+    s_gf.set_defaults(func=_cmd_spp_gf)
 
     return parser
 
@@ -250,7 +242,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing field {exc} in input file", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except dag.BudgetExceeded as exc:

@@ -30,9 +30,13 @@ an m x n matrix, its last row holds every maximal minor once, so one pass
 replaces C(n, m) separate determinants.  Its rows hold C(n, r) subsets, so
 for m close to n ``sum_max_minors`` keeps one determinant per minor.
 
-``pfaffian_by_expansion`` expands along the first row bottom-up: the index
-subsets the expansion reaches are listed level by level and each one's
-Pfaffian is memoised by its bitmask, so nothing in this module recurses.
+``pfaffian`` is ``pfaffian_by_expansion`` at every order: expansion along
+the first row, evaluated bottom-up over the index subsets it reaches.  For
+order n those are the s-subsets of the top (n + s) / 2 indices, even s,
+F(n + 1) subsets in all, so the cost grows like phi^n, not 2^n, and nothing
+in this module recurses.  ``pfaffian_by_matchings``, the crossing-signed
+sum over perfect matchings (``one_factors``, ``crossing_number``), shares
+no code with it and is kept only as its oracle.
 
 ``upper_twos_gram`` forms Z U Z^T, the matrix of the squared minor-sum
 identity, by running sums and dot products without forming U; polynomial
@@ -87,10 +91,6 @@ class ExactMatrix:
     def entry(self, i: int, j: int):
         return self._entries[i * self.cols + j]
 
-    def __getitem__(self, key):
-        i, j = key
-        return self._entries[i * self.cols + j]
-
     def row(self, i: int) -> list:
         return self._entries[i * self.cols : (i + 1) * self.cols]
 
@@ -110,19 +110,14 @@ class ExactMatrix:
             [self.entry(i, j) for i in row_idx for j in col_idx],
         )
 
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise ValueError("dimension mismatch in matrix product")
-            # Each entry is sum() of a row slice times a column slice: the
-            # same products and additions, in the same order, as a loop.
-            columns = [other._entries[j :: other.cols] for j in range(other.cols)]
-            out = [sum(map(operator.mul, self.row(i), col)) for i in range(self.rows) for col in columns]
-            return ExactMatrix(self.rows, other.cols, out)
-        return ExactMatrix(self.rows, self.cols, [other * e for e in self._entries])
-
-    def __rmul__(self, other):
-        return ExactMatrix(self.rows, self.cols, [other * e for e in self._entries])
+    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch in matrix product")
+        # Each entry is sum() of a row slice times a column slice: the
+        # same products and additions, in the same order, as a loop.
+        columns = [other._entries[j :: other.cols] for j in range(other.cols)]
+        out = [sum(map(operator.mul, self.row(i), col)) for i in range(self.rows) for col in columns]
+        return ExactMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -315,18 +310,6 @@ def crossing_number(pairs) -> int:
     return count
 
 
-def pfaffian(matrix: ExactMatrix):
-    """Pfaffian of an even-order skew-symmetric matrix.
-
-    Signed sum over perfect matchings for order <= 10 (<= 945 terms),
-    first-row Laplace-style expansion above that.  Each of the two checks
-    skew-symmetry and parity itself.
-    """
-    if matrix.rows <= 10:
-        return pfaffian_by_matchings(matrix)
-    return pfaffian_by_expansion(matrix)
-
-
 def pfaffian_by_matchings(matrix: ExactMatrix):
     """Pfaffian as the crossing-number-signed sum over 1-factors."""
     _require_skew(matrix)
@@ -350,42 +333,38 @@ def pfaffian_by_expansion(matrix: ExactMatrix):
     """Pfaffian by expansion along the first row, evaluated bottom-up.
 
     Pf(S) = sum over the other elements j of S, at 1-based position p after
-    the first element f, of (-1)^(p+1) a[f][j] Pf(S - {f, j}).  The index
-    subsets the expansion reaches from the full set are listed level by
-    level, then the Pfaffian of each is formed from the smaller ones and
-    memoised by its bitmask.
+    the first element f, of (-1)^(p+1) a[f][j] Pf(S - {f, j}).  Each step
+    drops the smallest index, so the subsets reached from {0, ..., n-1} are
+    exactly the s-subsets of the top (n + s) / 2 indices for even s:
+    F(n + 1) of them in all (Fibonacci), about phi^n.  They are evaluated
+    by size, each from the level below, and keyed by bitmask.
     """
     _require_skew(matrix)
     n = matrix.rows
     if n % 2:
         raise ValueError("Pfaffian requires even order")
     entries = matrix._entries
-    levels = [{(1 << n) - 1}]
-    while len(levels) <= n // 2:
-        below = set()
-        for mask in levels[-1]:
-            rest = mask & (mask - 1)  # drop the first element
-            others = rest
-            while others:
-                low = others & -others
-                below.add(rest ^ low)
-                others ^= low
-        levels.append(below)
     pf = {0: 1}
-    for level in reversed(levels[:-1]):
-        for mask in level:
-            first = (mask & -mask).bit_length() - 1
-            rest = mask & (mask - 1)
+    for s in range(2, n + 1, 2):
+        below, pf = pf, {}
+        for subset in itertools.combinations(range((n - s) // 2, n), s):
+            first, rest = subset[0], subset[1:]
             row = entries[first * n : (first + 1) * n]
-            total, others, plus = 0, rest, True
-            while others:
-                low = others & -others
-                term = row[low.bit_length() - 1] * pf[rest ^ low]
+            key = 0
+            for j in rest:
+                key |= 1 << j
+            total, plus = 0, True
+            for j in rest:
+                term = row[j] * below[key ^ (1 << j)]
                 total = total + term if plus else total - term
-                others ^= low
                 plus = not plus
-            pf[mask] = total
+            pf[key | (1 << first)] = total
     return pf[(1 << n) - 1]
+
+
+# Every caller's Pfaffian; pfaffian_by_matchings shares no code with it and
+# is kept as its oracle.
+pfaffian = pfaffian_by_expansion
 
 
 def upper_twos(n: int) -> ExactMatrix:

@@ -644,12 +644,6 @@ def _half_hexagon_cells(m: int, half_side: int) -> set[Cell]:
     return cells
 
 
-def _hole_cells(line: int) -> set[Cell]:
-    """Cells of the size-2 triangle, pointing left, that contains the axis
-    lozenge at a line."""
-    return {_L(line - 1, 0), _R(line, 0), _L(line, -1), _L(line, 1)}
-
-
 def holed_hexagon(m: int, n: int, holes=()) -> Region:
     """Hexagon with sides (2m, n, n, 2m, n, n) minus mirrored triangular holes.
 
@@ -664,7 +658,7 @@ def holed_hexagon(m: int, n: int, holes=()) -> Region:
         raise ValueError(f"hole labels {sorted(holes)} out of range 1..{n // 2}")
     left = _half_hexagon_cells(m, n)
     for h in holes:
-        left -= _hole_cells(2 * h - 1)
+        left -= _size_triangle_cells(2 * h - 2, 2)
     return Region(left | reflect_cells(left, n), (), {})
 
 
@@ -698,7 +692,7 @@ def punctured_hexagon(m: int, n: int, x: int, holes=()) -> Region:
     s = 2 * x - 1
     left = _half_hexagon_cells(m, big) - _size_triangle_cells(big - s, s)
     for h in holes:
-        left -= _hole_cells(2 * h - 1)
+        left -= _size_triangle_cells(2 * h - 2, 2)
     return Region(left | reflect_cells(left, big), (), {})
 
 

@@ -441,18 +441,26 @@ _QBINOMIAL_CACHE: dict[tuple[int, int], QtPolynomial] = {}
 def qbinomial(n: int, k: int) -> QtPolynomial:
     """Gaussian binomial coefficient; 0 unless 0 <= k <= n.
 
-    Computed division-free through the recurrence
-    C(n, k) = C(n-1, k-1) + q^k * C(n-1, k).
+    Computed division-free and bottom-up on integer coefficient lists by
+    the recurrence C(n, k) = C(n-1, k-1) + q^k * C(n-1, k).  The band
+    B[j][i] = C(j + i, j) is symmetric in j and i, so it is filled along
+    the longer side i with one row over the shorter side j: in step i,
+    row[j] += q^i * row[j-1] turns C(j + i - 1, j) into C(j + i, j).
     """
     if k < 0 or n < 0 or k > n:
         return ZERO
-    if k == 0 or k == n:
-        return ONE
     key = (n, k)
     cached = _QBINOMIAL_CACHE.get(key)
     if cached is None:
-        cached = qbinomial(n - 1, k - 1) + QtPolynomial({(k, 0): 1}) * qbinomial(n - 1, k)
-        _QBINOMIAL_CACHE[key] = cached
+        short = min(k, n - k)
+        row = [[1] for _ in range(short + 1)]
+        for i in range(1, n - short + 1):
+            for j in range(1, short + 1):
+                target, lower = row[j], row[j - 1]
+                target.extend([0] * (len(lower) + i - len(target)))
+                for e, c in enumerate(lower, start=i):
+                    target[e] += c
+        cached = _QBINOMIAL_CACHE[key] = QtPolynomial({(e, 0): c for e, c in enumerate(row[short])})
     return cached
 
 

@@ -1,12 +1,17 @@
 """Command-line interface behavior and external file formats."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathtiles
 from pathtiles.cli import main
@@ -308,3 +313,92 @@ def test_wrong_shape_files_exit_2_without_traceback(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+# Input files for the fuzz below: near-valid documents whose fields are drawn
+# from small pools of good values, each replaced by junk one time in ten,
+# plus text that is not JSON at all.
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from(["", "a", "1/0", "q", "-1", "1/2"]),
+    st.just([]), st.just({}),
+)
+
+
+def _mostly(strategy):
+    return st.integers(0, 9).flatmap(lambda k: _junk if k == 0 else strategy)
+
+
+_vertex = _mostly(st.integers(0, 3))
+_weight = _mostly(st.sampled_from(["2", "q", "1/2", "t^2", "-1", "1/0", "x"]))
+_edge = _mostly(st.fixed_dictionaries({"from": _vertex, "to": _vertex}, optional={"w": _weight}))
+_graph = _mostly(
+    st.fixed_dictionaries(
+        {
+            "vertices": _mostly(st.lists(_vertex, max_size=5, unique_by=repr)),
+            "edges": _mostly(st.lists(_edge, max_size=6)),
+        },
+        optional={"starts": _mostly(st.lists(_vertex, max_size=3)), "ends": _mostly(st.lists(_vertex, max_size=4))},
+    )
+)
+_cell = _mostly(st.tuples(st.integers(0, 3), st.integers(-2, 2)).map(lambda c: [*c, "LR"[sum(c) % 2]]))
+_region = _mostly(
+    st.fixed_dictionaries(
+        {"cells": _mostly(st.lists(_cell, max_size=10))},
+        optional={
+            "free_edges": _mostly(st.lists(_mostly(st.tuples(st.integers(0, 3), st.integers(-2, 2)).map(list)), max_size=3)),
+            "weights": _mostly(
+                st.lists(_mostly(st.fixed_dictionaries({"cells": st.lists(_cell, max_size=2), "w": _weight})), max_size=2)
+            ),
+        },
+    )
+)
+# Skew pairs (a, -a); each above-diagonal pair is kept or replaced by junk.
+_skew_pair = _mostly(st.sampled_from([("0", "0"), ("1", "-1"), ("-2", "2"), ("q", "-q"), ("1/2", "-1/2"), ("q^2*t", "-q^2*t")]))
+
+
+def _skew_rows(n, pairs):
+    rows = [["0"] * n for _ in range(n)]
+    for (i, j), pair in zip([(i, j) for i in range(n) for j in range(i + 1, n)], pairs):
+        rows[i][j], rows[j][i] = pair if isinstance(pair, tuple) else (pair, pair)
+    return rows
+
+
+_matrix = _mostly(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(_skew_pair, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(lambda p: _skew_rows(n, p))
+    )
+)
+_FUZZ_COMMANDS = [
+    (["compute", "path-gf", "--graph"], _graph),
+    (["reflect", "build", "--variant", "bar", "--graph"], _graph),
+    (["reflect", "build", "--variant", "tilde", "--graph"], _graph),
+    (["tile", "count", "--region"], _region),
+    (["tile", "verify", "--region"], _region),
+    (["compute", "tiling-count", "--region"], _region),
+    (["compute", "pfaffian", "--matrix"], _matrix),
+]
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_on_malformed_input_files_exits_cleanly(data):
+    command, document = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    text = data.draw(st.one_of(document.map(json.dumps), st.sampled_from(["", "{", "[1,", "nul", "{}{}"])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code, out, err = _run_main([*command, path])
+        assert code in (0, 1, 2), (command, text, code, err)
+        assert code != 2 or err.startswith("error: "), (command, text, err)
+        assert _run_main([*command, path])[:2] == (code, out)

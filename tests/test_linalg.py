@@ -373,6 +373,26 @@ def test_pfaffian_by_expansion_matches_matchings():
         pfaffian_by_expansion(ExactMatrix.zero(3, 3))
 
 
+def test_pfaffian_never_takes_the_matchings_route(monkeypatch):
+    rng = random.Random(47)
+    cases = [random_skew_matrix(rng, n) for n in range(0, 11, 2) for _ in range(2)]
+    expected = [pfaffian_by_matchings(a) for a in cases]
+
+    def forbidden(*args):
+        raise AssertionError("pfaffian reached the matchings oracle")
+
+    for name in ("pfaffian_by_matchings", "one_factors", "crossing_number"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    assert [linalg.pfaffian(a) for a in cases] == expected
+
+
+def test_pfaffian_square_is_determinant_past_order_16():
+    rng = random.Random(53)
+    for n in (18, 20, 22, 24):
+        a = random_skew_matrix(rng, n)
+        assert pfaffian(a) ** 2 == determinant(a)
+
+
 def test_linalg_module_does_not_recurse():
     tree = ast.parse(inspect.getsource(linalg))
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]

@@ -380,11 +380,13 @@ def test_long_rows_do_not_recurse():
 
 
 def test_no_function_in_partitions_recurses():
-    tree = ast.parse(inspect.getsource(partitions))
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef):
-            called = {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-            assert fn.name not in called, fn.name
+    # ring is checked too: partitions builds its path matrices on qbinomial.
+    for module in (partitions, ring):
+        tree = ast.parse(inspect.getsource(module))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                called = {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+                assert fn.name not in called, f"{module.__name__}.{fn.name}"
 
 
 def test_repeated_cell_is_checked_against_its_bounds():

@@ -66,6 +66,11 @@ def test_qbinomial_base_cases():
     assert qbinomial(3, -1) == 0
 
 
+def test_qbinomial_far_past_the_recursion_limit():
+    assert qbinomial(3000, 1) == qint(3000)
+    assert qbinomial(3000, 2999) == qint(3000)
+
+
 def test_qbinomial_2x2_box():
     # Sum of q^(area) over partitions inside a 2x2 box.
     assert qbinomial(4, 2) == 1 + q + 2 * q**2 + q**3 + q**4

@@ -27,15 +27,22 @@ every hook that reaches column -1.  wedge_hook gives a whole hook from the
 same generator as a cell set, and shifted_wedge_hook moves its leftmost
 cell to the right end.
 
-Tilers.  Every tiler works on one integer plan of the region: the cells
-as indices in sorted order, each cell's partner indices in cell_partners
-order, a free-half flag per cell, and integer weights.  With D the lcm of
-the region's weight denominators, a cover of c cells weighs D^c times its
-weight, so every tiling weighs exactly D^(number of cells) times its own
-weight and a count is divided by that once, at the end: the result is an
-int when it is integral and a Fraction only when it is not.
+Tilers.  Every tiler works on one integer plan of the region.  A cell is
+keyed by 2 * ((x - x0) * h + y - y0) + (orient == "R"), with x0 the least x,
+y0 one below the least y and h the y-span plus 2: sorted keys give the
+sorted cell order (cell i has the i-th smallest key), and each partner of a
+cell lies at a fixed key offset from it, derived from the one partner table.
+The offsets of the later partners are +2h+1 and +3 for an L cell and +1 for
+an R cell.  The plan also holds the cells with a free half and integer
+weights: with D the lcm of the region's weight denominators, a cover of c
+cells weighs D^c times its weight, so every tiling weighs exactly
+D^(number of cells) times its own weight and a count is divided by that
+once, at the end: the result is an int when it is integral and a Fraction
+only when it is not.  Cells are decoded from keys only for the covers a
+tiler returns and for symmetry maps.
 count_tilings is a transfer-matrix scan whose states are bitmasks of the
-cells just ahead that are already covered.  iter_tilings, sample_tiling and
+cells just ahead that are already covered; it builds each cell's covers from
+its later partners in the same pass.  iter_tilings, sample_tiling and
 count_symmetric_tilings (which places whole symmetry orbits of covers, with
 each symmetry acting on the cell indices as a permutation) share one
 depth-first search on an explicit stack.  Each tiler spends a Budget, and
@@ -44,6 +51,7 @@ none recurses.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -94,17 +102,16 @@ class Region:
     """A finite set of cells with lozenge weights and optional free edges."""
 
     def __init__(self, cells, free_edges=(), weights=None):
-        self.cells = frozenset(c if type(c) is Cell else Cell(*c) for c in cells)
-        for cell in self.cells:
-            x, y, orient = cell
+        self.cells = frozenset([c if type(c) is Cell else Cell(*c) for c in cells])
+        for x, y, orient in self.cells:
             if orient not in ("L", "R"):
                 raise ValueError(f"bad orientation {orient!r}")
             if (x + y) % 2 != (orient == "R"):
-                raise ValueError(f"cell {cell} violates the lattice parity")
+                raise ValueError(f"cell {Cell(x, y, orient)} violates the lattice parity")
         self.free_edges = frozenset((int(a), int(b)) for a, b in free_edges)
         for line, y in self.free_edges:
-            touching = [c for c in (_L(line - 1, y), _R(line, y)) if c in self.cells]
-            if len(touching) != 1:
+            # A tuple equals the Cell with the same fields.
+            if ((line - 1, y, "L") in self.cells) + ((line, y, "R") in self.cells) != 1:
                 raise ValueError(f"free edge ({line},{y}) is not on the region boundary")
         self.weights: dict[frozenset, Fraction] = {}
         for key, value in (weights or {}).items():
@@ -172,29 +179,37 @@ def _cell_from_json(cell) -> tuple[int, int, str]:
 
 
 class _Plan(NamedTuple):
-    """A region on integers: cell i is the i-th cell in sorted order.
+    """A region on integer cell keys (see _cell_key): cell i has the i-th
+    smallest key, and a cell's partners sit at fixed key offsets.
 
     D (scale) is the lcm of the region's weight denominators, and a cover of
     c cells weighs D^c times its weight.  Every tiling covers each cell once,
-    so it weighs exactly D^len(cells) times its own weight.
+    so it weighs exactly D^len(keys) times its own weight.
     """
 
-    cells: list[Cell]
-    index: dict[Cell, int]
-    partners: list[list[int]]  # per cell, its partners' indices in cell_partners order
-    free: list[bool]  # per cell, whether it has a free half
+    keys: list[int]
+    index: dict[int, int]  # key -> cell index
+    offsets: tuple[tuple[int, ...], tuple[int, ...]]  # per orientation bit, partner key offsets in cell_partners order
+    later: tuple[tuple[int, ...], tuple[int, ...]]  # the positive ones: the partners later in sorted order
+    free: set[int]  # indices of the cells with a free half
     weights: dict[tuple[int, ...], int]  # scaled weights of the weighted covers, by sorted indices
     scale: int
+    frame: tuple[int, int, int]  # x0, y0, h
+
+    def cell(self, i: int) -> Cell:
+        x0, y0, h = self.frame
+        dx, dy = divmod(self.keys[i] >> 1, h)
+        return Cell(x0 + dx, y0 + dy, "LR"[self.keys[i] & 1])
 
     def weight(self, cover: tuple[int, ...]) -> int:
         return self.weights.get(cover, self.scale ** len(cover))
 
     def cover_cells(self, cover: tuple[int, ...]) -> frozenset:
-        return frozenset(self.cells[i] for i in cover)
+        return frozenset(map(self.cell, cover))
 
     def unscale(self, total: int):
-        """A scaled weight sum over tilings, divided by D^len(cells)."""
-        return _exact_quotient(total, self.scale ** len(self.cells))
+        """A scaled weight sum over tilings, divided by D^len(keys)."""
+        return _exact_quotient(total, self.scale ** len(self.keys))
 
 
 def _exact_quotient(num: int, den: int):
@@ -202,26 +217,49 @@ def _exact_quotient(num: int, den: int):
     return num // den if num % den == 0 else Fraction(num, den)
 
 
+def _cell_key(frame: tuple[int, int, int], cell) -> int:
+    """2 * ((x - x0) * h + y - y0) + (orient == "R"), with x0 the least x,
+    y0 one below the least y and h the y-span plus 2: sorted keys list the
+    cells in sorted order.  Row y0 of every column holds no cell, so a
+    partner offset of +-1 row never reaches into the next column."""
+    x0, y0, h = frame
+    x, y, orient = cell
+    return 2 * ((x - x0) * h + y - y0) + (orient == "R")
+
+
+@functools.cache
+def _key_offsets(h: int):
+    """Per orientation bit, the key offsets of a cell's partners in
+    cell_partners order, and the positive ones among them."""
+    offsets = tuple(
+        tuple(2 * (dx * h + dy) + (p == "R") - (o == "R") for dx, dy, p in _PARTNER_STEPS[o]) for o in "LR"
+    )
+    return offsets, tuple(tuple(d for d in row if d > 0) for row in offsets)
+
+
 def _tiling_plan(region: Region) -> _Plan:
-    cells = region.sorted_cells()
-    index = {c: i for i, c in enumerate(cells)}
-    get = index.get
-    partners = [
-        [j for dx, dy, p in _PARTNER_STEPS[o] if (j := get((x + dx, y + dy, p))) is not None]
-        for x, y, o in cells
-    ]
-    free_edges = region.free_edges
-    if free_edges:
-        free = [cell_vertical_side(c) in free_edges for c in cells]
+    cells = region.cells
+    if cells:
+        x0 = min(cells)[0]
+        ys = [c[1] for c in cells]
+        y0 = min(ys) - 1
+        h = max(ys) - y0 + 1
     else:
-        free = [False] * len(cells)
-    values = [Fraction(w) for w in region.weights.values()]
-    scale = math.lcm(*(w.denominator for w in values))
+        x0, y0, h = 0, 0, 2
+    frame = (x0, y0, h)
+    keys = sorted([2 * ((x - x0) * h + y - y0) + (o == "R") for x, y, o in cells])  # _cell_key, inlined
+    index = {k: i for i, k in enumerate(keys)}
+    offsets, later = _key_offsets(h)
+    free = set()
+    for line, y in region.free_edges:  # exactly one of the two cells beside it is in the region
+        left = _cell_key(frame, (line - 1, y, "L"))
+        free.add(index[left] if left in index else index[_cell_key(frame, (line, y, "R"))])
+    scale = math.lcm(*(w.denominator for w in region.weights.values()))  # Region keeps Fractions
     weights = {}
-    for key, w in zip(region.weights, values):
-        cover = tuple(sorted(index[c] for c in key))
+    for group, w in region.weights.items():
+        cover = tuple(sorted(index[_cell_key(frame, c)] for c in group))
         weights[cover] = w.numerator * (scale ** len(cover) // w.denominator)
-    return _Plan(cells, index, partners, free, weights, scale)
+    return _Plan(keys, index, offsets, later, free, weights, scale, frame)
 
 
 def count_tilings(region: Region, budget: Budget | None = None):
@@ -234,15 +272,20 @@ def count_tilings(region: Region, budget: Budget | None = None):
     if budget is None:
         budget = Budget()
     plan = _tiling_plan(region)
+    get, later, weights, free = plan.index.get, plan.later, plan.weights, plan.free
     pair, half = plan.scale**2, plan.scale
     states = {0: 1}
-    for i, partners in enumerate(plan.partners):
+    for i, key in enumerate(plan.keys):
         budget.spend(len(states))
         # Covers of cell i with no earlier cell, as bits of the state after
         # cell i is dropped from it.
-        steps = [(1 << (j - i - 1), plan.weights.get((i, j), pair)) for j in partners if j > i]
-        if plan.free[i]:
-            steps.append((0, plan.weights.get((i,), half)))
+        steps = []
+        for d in later[key & 1]:
+            j = get(key + d)
+            if j is not None:
+                steps.append((1 << (j - i - 1), weights.get((i, j), pair)))
+        if i in free:
+            steps.append((0, weights.get((i,), half)))
         nxt: dict = {}
         for mask, weight in states.items():
             rest = mask >> 1
@@ -259,10 +302,10 @@ def count_tilings(region: Region, budget: Budget | None = None):
 def _search_moves(plan: _Plan) -> list:
     """Per cell, its moves (cell bitmask, cover): its lozenges in
     cell_partners order, earlier partners included, then its free half."""
-    moves = []
-    for i, partners in enumerate(plan.partners):
-        moves.append([(1 << i | 1 << j, (i, j)) for j in partners])
-        if plan.free[i]:
+    get, moves = plan.index.get, []
+    for i, key in enumerate(plan.keys):
+        moves.append([(1 << i | 1 << j, (i, j)) for d in plan.offsets[key & 1] if (j := get(key + d)) is not None])
+        if i in plan.free:
             moves[-1].append((1 << i, (i,)))
     return moves
 
@@ -339,15 +382,15 @@ def _symmetry_maps(region: Region, mode: str):
         return Cell(sx - c.x, c.y, _flip(c.orient))
 
     if mode == "central":
-        maps = [central]
+        maps = {"central": central}
     elif mode == "vertical":
-        maps = [vertical]
+        maps = {"vertical": vertical}
     elif mode == "both":
-        maps = [central, vertical]
+        maps = {"central": central, "vertical": vertical}
     else:
         raise ValueError("mode must be 'central', 'vertical', or 'both'")
 
-    for f in maps:
+    for f in maps.values():
         if {f(c) for c in region.cells} != region.cells:
             raise ValueError(f"region is not invariant under the {mode} symmetry")
         mapped_free = {_map_edge(f, e) for e in region.free_edges}
@@ -371,17 +414,26 @@ def count_symmetric_tilings(region: Region, mode: str, budget: Budget | None = N
 
     A fixed tiling is a disjoint union of orbits of covers, so the search
     places each cover together with its orbit and visits only fixed tilings.
-    Each symmetry acts on the plan's cell indices as a permutation.
+    Each symmetry acts on the plan's cell indices as a permutation.  The
+    central one sends key k to C - k for a constant C, so on an invariant
+    region it reverses the sorted keys; the vertical one is read off the
+    decoded cells.
     """
     maps = _symmetry_maps(region, mode)
     plan = _tiling_plan(region)
-    perms = [[plan.index[f(c)] for c in plan.cells] for f in maps]
+    n = len(plan.keys)
+    perms = [
+        range(n - 1, -1, -1) if name == "central"
+        else [plan.index[_cell_key(plan.frame, f(plan.cell(i)))] for i in range(n)]
+        for name, f in maps.items()
+    ]
     orbit_moves = []
-    for i, partners in enumerate(plan.partners):
+    get = plan.index.get
+    for i, key in enumerate(plan.keys):
         # A cover reaching back to an earlier cell is never placed: the
         # search only extends its first uncovered cell.
-        covers = [(i, j) for j in partners if j > i]
-        if plan.free[i]:
+        covers = [(i, j) for d in plan.later[key & 1] if (j := get(key + d)) is not None]
+        if i in plan.free:
             covers.append((i,))
         orbit_moves.append([])
         for cover in covers:
@@ -445,13 +497,16 @@ def shifted_wedge_hook(order: int, level: int = 0) -> frozenset[Cell]:
 
 def _hook_cells(level: int, lo: int, hi: int):
     """The cells of columns lo .. hi-1 of the chevron hook at the given level
-    (as in wedge_hook: rising to the left of line 0, falling to its right)."""
+    (as in wedge_hook: rising to the left of line 0, falling to its right).
+    The fields are valid by construction, so each Cell is made by
+    tuple.__new__, without the NamedTuple constructor's argument handling."""
+    new = tuple.__new__
     for c in range(lo, min(hi, 0)):
-        yield Cell(c, level + c + 1, "R")
-        yield Cell(c, level + c + 2, "L")
+        yield new(Cell, (c, level + c + 1, "R"))
+        yield new(Cell, (c, level + c + 2, "L"))
     for c in range(max(lo, 0), hi):
-        yield Cell(c, level - c, "L")
-        yield Cell(c, level - c + 1, "R")
+        yield new(Cell, (c, level - c, "L"))
+        yield new(Cell, (c, level - c + 1, "R"))
 
 
 def _hook_layout(m: int, shape: tuple[int, ...]):
@@ -480,7 +535,10 @@ def free_hook_region(m: int, shape, removed=()) -> Region:
     deleted.
     """
     shape = validate_strict_partition(shape)
-    removed = _validate_removed(removed, len(shape))
+    return _free_hook_region(m, shape, _validate_removed(removed, len(shape)))
+
+
+def _free_hook_region(m: int, shape: tuple[int, ...], removed: frozenset[int]) -> Region:
     plain, shifted = _hook_layout(m, shape)
     cells: list[Cell] = []
     free = []  # each hook reaching column -1 has its free edge at (0, level + 1)
@@ -504,7 +562,10 @@ def mirrored_hook_region(m: int, shape, removed=()) -> Region:
     lozenge disappears with them.
     """
     shape = validate_strict_partition(shape)
-    removed = _validate_removed(removed, len(shape))
+    return _mirrored_hook_region(m, shape, _validate_removed(removed, len(shape)))
+
+
+def _mirrored_hook_region(m: int, shape: tuple[int, ...], removed: frozenset[int]) -> Region:
     plain, shifted = _hook_layout(m, shape)
     cells: list[Cell] = []
     weights: dict[frozenset, Fraction] = {}
@@ -533,8 +594,11 @@ def binomial_path_matrix(m: int, shape, removed=()) -> ExactMatrix:
     C(part_i - 1 + m + i - j, m + i - j).
     """
     shape = validate_strict_partition(shape)
+    return _binomial_path_matrix(m, shape, _validate_removed(removed, len(shape)))
+
+
+def _binomial_path_matrix(m: int, shape: tuple[int, ...], removed: frozenset[int]) -> ExactMatrix:
     k = len(shape)
-    removed = _validate_removed(removed, k)
     rows = []
     for i, part in enumerate(shape, start=1):
         if i in removed:
@@ -559,21 +623,28 @@ def mirrored_tiling_gf_formula(m: int, shape, removed=()):
 
     Evaluated as det[M U M^T] / 2^rows, so the matrix products stay on ints.
     """
-    z = binomial_path_matrix(m, shape, removed)
+    return _mirrored_gf(binomial_path_matrix(m, shape, removed))
+
+
+def _mirrored_gf(z: ExactMatrix):
     return _exact_quotient(determinant(upper_twos_gram(z)), 2**z.rows)
 
 
 def square_identity_values(m: int, shape, removed=(), budget: Budget | None = None) -> dict:
-    """All four evaluation routes of the squared free-boundary identity."""
+    """All four evaluation routes of the squared free-boundary identity.
+
+    The shape and removed set are validated once, and both formulas share
+    one path matrix."""
     shape = validate_strict_partition(shape)
     removed = _validate_removed(removed, len(shape))
     if budget is None:
         budget = Budget()
+    z = _binomial_path_matrix(m, shape, removed)
     return {
-        "free_formula": free_tiling_count_formula(m, shape, removed),
-        "free_tiler": count_tilings(free_hook_region(m, shape, removed), budget),
-        "mirrored_formula": mirrored_tiling_gf_formula(m, shape, removed),
-        "mirrored_tiler": count_tilings(mirrored_hook_region(m, shape, removed), budget),
+        "free_formula": sum_max_minors(z),  # free_tiling_count_formula
+        "free_tiler": count_tilings(_free_hook_region(m, shape, removed), budget),
+        "mirrored_formula": _mirrored_gf(z),  # mirrored_tiling_gf_formula
+        "mirrored_tiler": count_tilings(_mirrored_hook_region(m, shape, removed), budget),
         "factor": 2 ** (len(shape) - len(removed)),
     }
 

@@ -255,9 +255,18 @@ def qt_path_matrix(m: int, shape) -> ExactMatrix:
 
 
 def qt_gf_determinant(m: int, shape) -> QtPolynomial:
-    """det[M(q,t) U M(q,t)^T]: the square of the (q,t)-generating function."""
+    """det[M(q,t) U M(q,t)^T]: the square of the (q,t)-generating function.
+
+    Permuting the rows of M leaves det[M U M^T] unchanged.  As in volume_gf,
+    the rows of lowest degree go first, since the determinant's DP
+    multiplies each row into every minor of the rows before it.
+    """
     shape = validate_strict_partition(shape)
-    return QtPolynomial.from_scalar(determinant(upper_twos_gram(qt_path_matrix(m, shape))))
+    z = qt_path_matrix(m, shape)
+    tops = [max((eq + et for e in z.row(i) for eq, et in e.terms()), default=0) for i in range(z.rows)]
+    order = sorted(range(z.rows), key=tops.__getitem__)
+    z = ExactMatrix(z.rows, z.cols, [e for i in order for e in z.row(i)])
+    return QtPolynomial.from_scalar(determinant(upper_twos_gram(z)))
 
 
 def volume_gf(m: int, shape, which: str) -> QtPolynomial:

@@ -1,6 +1,7 @@
 """Command-line interface behavior and external file formats."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -247,6 +248,16 @@ def test_verify_determinism(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "seed, md5", [(1, "6cb678d0272076f7156e7f0ae7645ae4"), (2, "7e8d802b3493e5547657cf597025288c")]
+)
+def test_verify_full_report_is_pinned(capsys, seed, md5):
+    # The full-size report of every suite, byte for byte: a change that
+    # keeps every answer keeps these digests.
+    assert main(["verify", "--suite", "all", "--size-budget", "full", "--seed", str(seed)]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["compute", "tiling-count", "--region", "/nonexistent.json"]) == 2
 
@@ -402,3 +413,42 @@ def test_cli_on_malformed_input_files_exits_cleanly(data):
         assert code in (0, 1, 2), (command, text, code, err)
         assert code != 2 or err.startswith("error: "), (command, text, err)
         assert _run_main([*command, path])[:2] == (code, out)
+
+
+# Argument fuzz for the commands that take no file: small strict shapes,
+# bounds and staircase sizes (so every enumeration stays well inside the
+# default budget), each replaced by junk one time in ten.
+_arg_junk = st.sampled_from(["", "a", "-1", "0", "1.5", "1e3", "3,3", "2,,1", "1,2", " 1", "--m"])
+
+
+def _arg(strategy):
+    return st.integers(0, 9).flatmap(lambda k: _arg_junk if k == 0 else strategy)
+
+
+_small_int = _arg(st.integers(-2, 4).map(str))
+_shape_arg = _arg(
+    st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True).map(
+        lambda parts: ",".join(map(str, sorted(parts, reverse=True)))
+    )
+)
+_spp_argv = st.tuples(
+    st.sampled_from([["spp", "gf"], ["compute", "spp-gf"]]),
+    _arg(st.integers(-1, 3).map(str)),
+    _shape_arg,
+    _arg(st.sampled_from(["qt", "q-spp", "q-sym"])),
+    _arg(st.sampled_from(["det", "enum", "both"])),
+).map(lambda a: [*a[0], "--m", a[1], "--shape", a[2], "--mode", a[3], "--method", a[4]])
+_staircase_argv = st.tuples(_small_int, _small_int, _small_int, _arg(st.sampled_from(["tiling", "free"]))).map(
+    lambda a: ["compute", "staircase-product", "--m", a[0], "--n", a[1], "--k", a[2], "--kind", a[3]]
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_spp_argv, _staircase_argv))
+def test_cli_on_fuzzed_arguments_exits_cleanly(argv):
+    code, out, err = _run_main(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert code != 0 or out, argv
+    assert _run_main(argv)[:2] == (code, out)
+

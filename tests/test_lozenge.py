@@ -84,7 +84,12 @@ def test_hook_is_tileable_strip():
 
 
 def test_empty_and_single_lozenge_regions():
-    assert count_tilings(Region([])) == 1
+    empty = Region([])
+    _assert_count(count_tilings(empty), _oracle_count(empty))
+    assert list(iter_tilings(empty)) == [frozenset()]
+    assert sample_tiling(empty, random.Random(0)) == []
+    for mode in ("central", "vertical", "both"):
+        assert count_symmetric_tilings(empty, mode) == 1
     assert count_tilings(Region([(0, 0, "L"), (1, 0, "R")])) == 1
 
 
@@ -703,6 +708,81 @@ def test_sample_tiling_keeps_its_seeded_tilings():
         for seed, want in enumerate(by_seed):
             got = sample_tiling(region, random.Random(seed))
             assert [sorted(map(list, cover)) for cover in got] == want, (key, seed)
+
+
+def _spent(call, region):
+    budget = Budget(10**9)
+    call(region, budget)
+    return budget.limit - budget.remaining
+
+
+def test_tiler_budget_spending_is_pinned():
+    # States spent per call, recorded from the tilers as they were before
+    # cells were keyed by integers: a faster plan must spend the same states.
+    recorded = json.loads((DATA / "tiler_budget_spending.json").read_text())
+    builders = {"free_hook_region": free_hook_region, "mirrored_hook_region": mirrored_hook_region}
+    assert len(recorded["hook_regions"]) == 156
+    for name, m, shape, removed, want in recorded["hook_regions"]:
+        assert _spent(count_tilings, builders[name](m, shape, removed)) == want, (name, m, shape, removed)
+    assert [tuple(case[:3]) for case in recorded["hexagons"]] == [(m, n, list(h)) for m, n, h in HEXAGON_CASES]
+    for m, n, holes, count, central, both in recorded["hexagons"]:
+        region = holed_hexagon(m, n, holes)
+        assert _spent(count_tilings, region) == count, (m, n, holes)
+        assert _spent(lambda r, b: count_symmetric_tilings(r, "central", b), region) == central, (m, n, holes)
+        assert _spent(lambda r, b: count_symmetric_tilings(r, "both", b), region) == both, (m, n, holes)
+
+
+def _shifted(region, dx, dy):
+    """The region moved by (dx, dy); dx + dy is even, so parity holds."""
+    def move(c):
+        return Cell(c.x + dx, c.y + dy, c.orient)
+
+    weights = {frozenset(map(move, key)): w for key, w in region.weights.items()}
+    return Region(map(move, region.cells), [(line + dx, y + dy) for line, y in region.free_edges], weights)
+
+
+def _column(x, ys):
+    """The cells of strip x at the given heights."""
+    return {Cell(x, y, "LR"[(x + y) % 2]) for y in ys}
+
+
+def _with_free_rows(cells):
+    """A region of the cells with a free half on every boundary vertical
+    side in its top and bottom rows."""
+    sides = collections.Counter(map(_vertical_side, cells))
+    rows = {min(c.y for c in cells), max(c.y for c in cells)}
+    free = [_vertical_side(c) for c in cells if c.y in rows and sides[_vertical_side(c)] == 1]
+    assert free
+    return Region(cells, free)
+
+
+def test_tilers_on_integer_key_edge_cases():
+    # The tilers key a cell by 2 * ((x - x0) * h + y - y0) + (orient == "R")
+    # with h the y-span plus 2: negative coordinates, single columns, tall
+    # y-spans and free halves on the top and bottom rows (beside the empty
+    # rows that pad each column) must count as the oracle does.
+    hexagon = holed_hexagon(1, 2)
+    column = _column(-2, range(-5, 5))
+    regions = {
+        "negative": _shifted(hexagon, -9, -13),
+        "negative, free": _shifted(free_hook_region(1, (2, 1)), -4, -6),
+        "negative, weighted": _shifted(mirrored_hook_region(1, (2,)), -3, -5),
+        "one column, free rows": _with_free_rows(column),
+        "one column, all free": Region(column, map(_vertical_side, column),
+                                       {frozenset(p): Fraction(1, 3) for p in _lozenges(column)[::2]}),
+        "tall": Region(hexagon.cells | _shifted(hexagon, 0, 400).cells | _column(1, range(-301, -297))),
+        "tall, free rows": _with_free_rows(hexagon.cells | _column(0, range(197, 203)) | _column(3, range(-207, -203))),
+        "hook, free rows": _with_free_rows(free_hook_region(2, (3, 1)).cells),
+    }
+    for name, region in regions.items():
+        tilings = set(_oracle_tilings(region))
+        assert tilings, name
+        assert set(iter_tilings(region)) == tilings, name
+        _assert_count(count_tilings(region), _oracle_count(region, None, tilings))
+        assert frozenset(sample_tiling(region, random.Random(3))) in tilings, name
+    negative = regions["negative"]
+    for mode in ("central", "vertical", "both"):
+        _assert_count(count_symmetric_tilings(negative, mode), _oracle_count(negative, mode))
 
 
 def test_large_region_ends_in_result_or_budget_failure():

@@ -10,7 +10,7 @@ import pytest
 
 from pathtiles import linalg, partitions, ring
 from pathtiles.dag import Budget, BudgetExceeded
-from pathtiles.linalg import ExactMatrix, determinant, division_free_determinant, upper_twos
+from pathtiles.linalg import ExactMatrix, determinant, division_free_determinant, upper_twos, upper_twos_gram
 from pathtiles.lozenge import count_tilings, mirrored_hook_region, mirrored_tiling_gf_formula
 from pathtiles.partitions import (
     ShiftedPlanePartition,
@@ -120,6 +120,20 @@ def test_qt_determinant_matches_enumeration_squared():
         for m in range(3):
             e = qt_gf_enumerated(m, shape)
             assert qt_gf_determinant(m, shape) == e * e
+
+
+def test_qt_determinant_row_order_leaves_the_value():
+    # qt_gf_determinant reorders the rows of the path matrix, lowest degree
+    # first; the determinant in the matrix's own row order must agree.
+    reordered = 0
+    for shape in strict_partitions(5, 3):
+        for m in range(3):
+            z = qt_path_matrix(m, shape)
+            want = QtPolynomial.from_scalar(determinant(upper_twos_gram(z)))
+            assert qt_gf_determinant(m, shape) == want, (m, shape)
+            tops = [max((eq + et for e in z.row(i) for eq, et in e.terms()), default=0) for i in range(z.rows)]
+            reordered += tops != sorted(tops)
+    assert reordered > 0
 
 
 def test_qt_determinant_readme_scale():

@@ -24,9 +24,8 @@ from .linalg import (
     sum_max_minors_squared,
     upper_twos,
 )
+from .budget import Budget, BudgetExceeded
 from .dag import (
-    Budget,
-    BudgetExceeded,
     CycleError,
     EndpointSpec,
     WeightedDag,

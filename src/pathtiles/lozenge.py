@@ -39,14 +39,19 @@ cells weighs D^c times its weight, so every tiling weighs exactly
 D^(number of cells) times its own weight and a count is divided by that
 once, at the end: the result is an int when it is integral and a Fraction
 only when it is not.  Cells are decoded from keys only for the covers a
-tiler returns and for symmetry maps.
+tiler returns.
 count_tilings is a transfer-matrix scan whose states are bitmasks of the
 cells just ahead that are already covered; it builds each cell's covers from
 its later partners in the same pass.  iter_tilings, sample_tiling and
-count_symmetric_tilings (which places whole symmetry orbits of covers, with
-each symmetry acting on the cell indices as a permutation) share one
-depth-first search on an explicit stack.  Each tiler spends a Budget, and
-none recurses.
+count_symmetric_tilings (which places whole symmetry orbits of covers) share
+one depth-first search on an explicit stack.  Each tiler spends a Budget,
+and none recurses.  A symmetry is built once, as a permutation of the cell
+indices: each key is decoded, its cell mirrored (central: (sx - x, sy - y),
+vertical: (sx - x, y), with sx and sy the sums of the least and largest
+coordinates, orientation flipped) and encoded again.  A mirror maps the
+bounding box onto itself, so no image key aliases another cell.  The region
+is invariant when every image is a cell and the permutation maps the free
+cells and the weighted covers, weights included, onto themselves.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dag import Budget
+from .budget import Budget
 from .linalg import ExactMatrix, determinant, sum_max_minors, upper_twos_gram
 from .ring import parse_rational
 
@@ -65,14 +70,6 @@ class Cell(NamedTuple):
     x: int
     y: int
     orient: str  # "L" or "R"
-
-
-def _L(x: int, y: int) -> Cell:
-    return Cell(x, y, "L")
-
-
-def _R(x: int, y: int) -> Cell:
-    return Cell(x, y, "R")
 
 
 # The lozenge partners of an L and of an R cell, as (dx, dy, orientation).
@@ -365,48 +362,36 @@ def sample_tiling(region: Region, rng, budget: Budget | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _flip(orient: str) -> str:
-    return "R" if orient == "L" else "L"
+# Per mode, its symmetries in the order they are checked: whether each one
+# mirrors the heights as well as the strips.
+_SYMMETRIES = {"central": (True,), "vertical": (False,), "both": (True, False)}
 
 
-def _symmetry_maps(region: Region, mode: str):
-    xs = [c.x for c in region.cells] or [0]  # every symmetry fixes the empty region
-    ys = [c.y for c in region.cells] or [0]
-    sx = min(xs) + max(xs)
-    sy = min(ys) + max(ys)
-
-    def central(c: Cell) -> Cell:
-        return Cell(sx - c.x, sy - c.y, _flip(c.orient))
-
-    def vertical(c: Cell) -> Cell:
-        return Cell(sx - c.x, c.y, _flip(c.orient))
-
-    if mode == "central":
-        maps = {"central": central}
-    elif mode == "vertical":
-        maps = {"vertical": vertical}
-    elif mode == "both":
-        maps = {"central": central, "vertical": vertical}
-    else:
+def _symmetry_perms(plan: _Plan, mode: str) -> list[list[int]]:
+    """The chosen symmetries as permutations of the cell indices, or a
+    ValueError unless the region is invariant under each.  In the frame
+    offsets dx = x - x0 and dy = y - y0, sx - x is w - dx with w the largest
+    dx, and sy - y is h - dy."""
+    if mode not in _SYMMETRIES:
         raise ValueError("mode must be 'central', 'vertical', or 'both'")
-
-    for f in maps.values():
-        if {f(c) for c in region.cells} != region.cells:
-            raise ValueError(f"region is not invariant under the {mode} symmetry")
-        mapped_free = {_map_edge(f, e) for e in region.free_edges}
-        if mapped_free != set(region.free_edges):
+    keys, index, h = plan.keys, plan.index, plan.frame[2]
+    w = (keys[-1] >> 1) // h if keys else 0
+    perms = []
+    for mirror_y in _SYMMETRIES[mode]:
+        perm = []
+        for key in keys:
+            dx, dy = divmod(key >> 1, h)
+            j = index.get(2 * ((w - dx) * h + (h - dy if mirror_y else dy)) + 1 - (key & 1))
+            if j is None:
+                raise ValueError(f"region is not invariant under the {mode} symmetry")
+            perm.append(j)
+        if {perm[i] for i in plan.free} != plan.free:
             raise ValueError("free edges are not invariant under the symmetry")
-        mapped_weights = {frozenset(f(c) for c in k): w for k, w in region.weights.items()}
-        if mapped_weights != region.weights:
-            raise ValueError("lozenge weights are not invariant under the symmetry")
-    return maps
-
-
-def _map_edge(cell_map, edge):
-    # Transport a vertical edge through a cell map via the cell that owns it.
-    line, y = edge
-    probe = _L(line - 1, y) if (line - 1 + y) % 2 == 0 else _R(line, y)
-    return cell_vertical_side(cell_map(probe))
+        for cover, weight in plan.weights.items():
+            if plan.weights.get(tuple(sorted(perm[i] for i in cover))) != weight:
+                raise ValueError("lozenge weights are not invariant under the symmetry")
+        perms.append(perm)
+    return perms
 
 
 def count_symmetric_tilings(region: Region, mode: str, budget: Budget | None = None):
@@ -414,19 +399,10 @@ def count_symmetric_tilings(region: Region, mode: str, budget: Budget | None = N
 
     A fixed tiling is a disjoint union of orbits of covers, so the search
     places each cover together with its orbit and visits only fixed tilings.
-    Each symmetry acts on the plan's cell indices as a permutation.  The
-    central one sends key k to C - k for a constant C, so on an invariant
-    region it reverses the sorted keys; the vertical one is read off the
-    decoded cells.
+    Each symmetry acts on the plan's cell indices as a permutation.
     """
-    maps = _symmetry_maps(region, mode)
     plan = _tiling_plan(region)
-    n = len(plan.keys)
-    perms = [
-        range(n - 1, -1, -1) if name == "central"
-        else [plan.index[_cell_key(plan.frame, f(plan.cell(i)))] for i in range(n)]
-        for name, f in maps.items()
-    ]
+    perms = _symmetry_perms(plan, mode)
     orbit_moves = []
     get = plan.index.get
     for i, key in enumerate(plan.keys):
@@ -449,10 +425,7 @@ def count_symmetric_tilings(region: Region, mode: str, budget: Budget | None = N
 
 def reflect_cells(cells, line: int = 0):
     """Mirror cells across the vertical lattice line x = line."""
-    out = set()
-    for c in cells:
-        out.add(Cell(2 * line - c.x - 1, c.y, _flip(c.orient)))
-    return frozenset(out)
+    return frozenset(Cell(2 * line - x - 1, y, "R" if o == "L" else "L") for x, y, o in cells)
 
 
 def doubled_region(region: Region, line: int = 0) -> Region:
@@ -490,8 +463,8 @@ def wedge_hook(order: int, level: int = 0) -> frozenset[Cell]:
 def shifted_wedge_hook(order: int, level: int = 0) -> frozenset[Cell]:
     """Chevron hook with its leftmost cell moved to the right end."""
     cells = set(wedge_hook(order, level))
-    cells.remove(_R(-order, level - order + 1))
-    cells.add(_R(order, level - order + 1))
+    cells.remove(Cell(-order, level - order + 1, "R"))
+    cells.add(Cell(order, level - order + 1, "R"))
     return frozenset(cells)
 
 
@@ -700,19 +673,17 @@ def double_staircase_tiling_product(m: int, n: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _half_hexagon_cells(m: int, half_side: int) -> set[Cell]:
-    """Left half of the hexagon with vertical sides 2m and slant sides
-    half_side: strips 0 .. half_side - 1, horizontal symmetry axis at height
-    0.  The whole hexagon is this half and its mirror across line half_side.
-    """
-    cells: set[Cell] = set()
-    for c in range(half_side):
-        for y in range(-(2 * m + c), 2 * m + c + 1):
+def _axis_triangle_cells(apex_line: int, lo: int, hi: int):
+    """Columns lo .. hi-1 of the left-pointing triangle on the horizontal
+    axis with its apex on line apex_line: column c spans the heights
+    -(c - apex_line) .. c - apex_line."""
+    for c in range(lo, hi):
+        d = c - apex_line
+        for y in range(-d, d + 1):
             if (c + y) % 2 == 0:
-                cells.add(_L(c, y))
-            elif abs(y) <= 2 * m + c - 1:
-                cells.add(_R(c, y))
-    return cells
+                yield Cell(c, y, "L")
+            elif -d < y < d:
+                yield Cell(c, y, "R")
 
 
 def holed_hexagon(m: int, n: int, holes=()) -> Region:
@@ -727,24 +698,7 @@ def holed_hexagon(m: int, n: int, holes=()) -> Region:
     holes = frozenset(int(h) for h in holes)
     if not holes <= set(range(1, n // 2 + 1)):
         raise ValueError(f"hole labels {sorted(holes)} out of range 1..{n // 2}")
-    left = _half_hexagon_cells(m, n)
-    for h in holes:
-        left -= _size_triangle_cells(2 * h - 2, 2)
-    return Region(left | reflect_cells(left, n), (), {})
-
-
-def _size_triangle_cells(apex_line: int, size: int) -> set[Cell]:
-    """A size-s triangle on the axis, pointing left: apex on apex_line,
-    base size*2 tall."""
-    cells: set[Cell] = set()
-    for d in range(size):
-        c = apex_line + d
-        for y in range(-d, d + 1):
-            if (c + y) % 2 == 0:
-                cells.add(_L(c, y))
-            elif abs(y) <= d - 1:
-                cells.add(_R(c, y))
-    return cells
+    return _punched_hexagon(m, n, 0, holes)
 
 
 def punctured_hexagon(m: int, n: int, x: int, holes=()) -> Region:
@@ -759,25 +713,25 @@ def punctured_hexagon(m: int, n: int, x: int, holes=()) -> Region:
     holes = frozenset(int(h) for h in holes)
     if not holes <= set(range(1, n - x + 1)):
         raise ValueError(f"hole labels {sorted(holes)} out of range 1..{n - x}")
-    big = 2 * n - 1
-    s = 2 * x - 1
-    left = _half_hexagon_cells(m, big) - _size_triangle_cells(big - s, s)
+    return _punched_hexagon(m, 2 * n - 1, 2 * x - 1, holes)
+
+
+def _punched_hexagon(m: int, half_side: int, puncture: int, holes) -> Region:
+    """The hexagon with vertical sides 2m and slant sides half_side, less a
+    centred pair of size-puncture triangles and a pair of size-2 triangles
+    per hole label.  Its left half is columns 0 .. half_side - 1 of the axis
+    triangle with apex on line -2m, less the left triangle of each pair; the
+    whole is that half and its mirror across line half_side."""
+    left = set(_axis_triangle_cells(-2 * m, 0, half_side))
+    left.difference_update(_axis_triangle_cells(half_side - puncture, half_side - puncture, half_side))
     for h in holes:
-        left -= _size_triangle_cells(2 * h - 2, 2)
-    return Region(left | reflect_cells(left, big), (), {})
+        left.difference_update(_axis_triangle_cells(2 * h - 2, 2 * h - 2, 2 * h))
+    return Region(left | reflect_cells(left, half_side), (), {})
 
 
-def check_hexagon_factorization(m: int, n: int, holes=(), variant: str = "a", x: int | None = None, budget: Budget | None = None) -> bool:
-    """Whether the centrally symmetric tiling count is the square of the
-    count of tilings with both central and vertical symmetry."""
-    if variant == "a":
-        region = holed_hexagon(m, n, holes)
-    elif variant == "b":
-        if x is None:
-            raise ValueError("variant 'b' needs the puncture parameter x")
-        region = punctured_hexagon(m, n, x, holes)
-    else:
-        raise ValueError("variant must be 'a' or 'b'")
+def check_hexagon_factorization(region: Region, budget: Budget | None = None) -> bool:
+    """Whether the centrally symmetric tiling count of a region is the
+    square of the count of tilings with both central and vertical symmetry."""
     central = count_symmetric_tilings(region, "central", budget)
     both = count_symmetric_tilings(region, "both", budget)
     return central == both * both

@@ -252,8 +252,10 @@ def strict_partitions(max_part: int, max_parts: int) -> list[tuple[int, ...]]:
     return sorted(shapes)
 
 
-def suite_tilings(rng, max_part: int = 4, max_parts: int = 3, max_m: int = 2,
-                  product_max_n: int = 3, product_max_m: int = 3) -> list[CheckRecord]:
+PRODUCT_MAX_N = PRODUCT_MAX_M = 3  # the double-staircase product group's largest n and m
+
+
+def suite_tilings(rng, max_part: int = 4, max_parts: int = 3, max_m: int = 2) -> list[CheckRecord]:
     records: list[CheckRecord] = []
 
     def square_identity():
@@ -275,9 +277,9 @@ def suite_tilings(rng, max_part: int = 4, max_parts: int = 3, max_m: int = 2,
 
     def staircase_products():
         cases = 0
-        for n in range(product_max_n + 1):
+        for n in range(PRODUCT_MAX_N + 1):
             for k in range(n + 1):
-                for m in range(product_max_m + 1):
+                for m in range(PRODUCT_MAX_M + 1):
                     shape = lozenge.double_staircase(n, k)
                     lhs = lozenge.mirrored_tiling_gf_formula(m, shape)
                     rhs = lozenge.double_staircase_tiling_product(m, n, k)
@@ -302,7 +304,7 @@ def suite_tilings(rng, max_part: int = 4, max_parts: int = 3, max_m: int = 2,
         return True, f"{2 * len(shapes)} doubled regions"
 
     _timed(records, f"free-boundary square identity (parts<={max_part}, k<={max_parts}, m<={max_m})", square_identity)
-    _timed(records, f"double-staircase products (n<={product_max_n}, m<={product_max_m})", staircase_products)
+    _timed(records, f"double-staircase products (n<={PRODUCT_MAX_N}, m<={PRODUCT_MAX_M})", staircase_products)
     _timed(records, "free boundary == vertically symmetric doubling", doubling_self_test)
     return records
 
@@ -334,10 +336,10 @@ def suite_hexagons(rng) -> list[CheckRecord]:
 
     def factorization():
         for m, n, holes in HEXAGON_CASES:
-            if not lozenge.check_hexagon_factorization(m, n, holes, "a"):
+            if not lozenge.check_hexagon_factorization(lozenge.holed_hexagon(m, n, holes)):
                 return False, f"hexagon (m={m}, n={n}, holes={holes})"
         for m, n, x, holes in PUNCTURED_HEXAGON_CASES:
-            if not lozenge.check_hexagon_factorization(m, n, holes, "b", x):
+            if not lozenge.check_hexagon_factorization(lozenge.punctured_hexagon(m, n, x, holes)):
                 return False, f"punctured (m={m}, n={n}, x={x}, holes={holes})"
         return True, f"{len(HEXAGON_CASES)} hexagons, {len(PUNCTURED_HEXAGON_CASES)} punctured"
 

@@ -95,15 +95,15 @@ def test_criterion_6_staircase_products():
 def test_criterion_7_hexagon_factorization():
     def run():
         cases = [
-            ("a", 1, 2, (), None),
-            ("a", 1, 2, (1,), None),
-            ("a", 1, 3, (), None),
-            ("a", 1, 3, (1,), None),
-            ("b", 1, 2, (), 1),
+            (lozenge.holed_hexagon, (1, 2, ())),
+            (lozenge.holed_hexagon, (1, 2, (1,))),
+            (lozenge.holed_hexagon, (1, 3, ())),
+            (lozenge.holed_hexagon, (1, 3, (1,))),
+            (lozenge.punctured_hexagon, (1, 2, 1, ())),
         ]
-        for variant, m, n, holes, x in cases:
-            if not lozenge.check_hexagon_factorization(m, n, holes, variant, x):
-                return False, f"variant {variant}, m={m}, n={n}, holes={holes}, x={x}"
+        for build, args in cases:
+            if not lozenge.check_hexagon_factorization(build(*args)):
+                return False, f"{build.__name__}{args}"
         return True, f"{len(cases)} hexagon instances"
 
     _run_criterion(7, "centrally symmetric counts factor as squares", 120.0, run)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import pathtiles
 from pathtiles.cli import main
 from pathtiles.dag import WeightedDag, grid_graph, path_gf
-from pathtiles.lozenge import holed_hexagon, mirrored_hook_region
+from pathtiles.lozenge import Cell, Region, holed_hexagon, mirrored_hook_region
 
 
 @pytest.fixture
@@ -126,6 +126,17 @@ def test_tiling_count(capsys, hexagon_file):
 def test_tile_verify(capsys, hexagon_file):
     assert main(["tile", "verify", "--region", hexagon_file]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_tile_verify_rejects_a_non_invariant_region(tmp_path, capsys):
+    # A hexagon less one interior cell has no central symmetry to count under.
+    box = holed_hexagon(1, 2)
+    path = tmp_path / "dented.json"
+    path.write_text(json.dumps(Region(box.cells - {Cell(1, 1, "L")}).to_json()))
+    assert main(["tile", "verify", "--region", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: region is not invariant under the central symmetry\n"
 
 
 @pytest.mark.parametrize(

@@ -46,7 +46,8 @@ from pathtiles.lozenge import (
     shifted_wedge_hook,
     staircase_for_hexagon,
     wedge_hook,
-    _symmetry_maps,
+    _symmetry_perms,
+    _tiling_plan,
 )
 from pathtiles.verify import HEXAGON_CASES, PUNCTURED_HEXAGON_CASES, strict_partitions
 
@@ -299,11 +300,11 @@ def test_hexagon_hole_validation():
 
 
 def test_hexagon_factorization_cases():
-    assert check_hexagon_factorization(1, 2, (), "a")
-    assert check_hexagon_factorization(1, 3, (), "a")
-    assert check_hexagon_factorization(1, 2, (1,), "a")
-    assert check_hexagon_factorization(1, 3, (1,), "a")
-    assert check_hexagon_factorization(1, 2, (), "b", 1)
+    assert check_hexagon_factorization(holed_hexagon(1, 2, ()))
+    assert check_hexagon_factorization(holed_hexagon(1, 3, ()))
+    assert check_hexagon_factorization(holed_hexagon(1, 2, (1,)))
+    assert check_hexagon_factorization(holed_hexagon(1, 3, (1,)))
+    assert check_hexagon_factorization(punctured_hexagon(1, 2, 1, ()))
 
 
 def test_punctured_hexagon_structure():
@@ -321,12 +322,12 @@ def test_figure_scale_hexagons_build():
     # both ends: 8mn + 2n^2 cells minus four size-2 triangles.
     big = holed_hexagon(4, 10, (2, 4))
     assert len(big.cells) == 8 * 4 * 10 + 2 * 10 * 10 - 4 * 4
-    assert _symmetry_maps(big, "both")
+    assert len(_symmetry_perms(_tiling_plan(big), "both")) == 2  # raises unless invariant
 
     # Punctured odd hexagon (sides 8 and 13) with a size-3 center puncture.
     punct = punctured_hexagon(4, 7, 2, (2, 4))
     assert len(punct.cells) == 8 * 4 * 13 + 2 * 13 * 13 - 2 * 3 * 3 - 4 * 4
-    assert _symmetry_maps(punct, "both")
+    assert len(_symmetry_perms(_tiling_plan(punct), "both")) == 2
 
 
 def _hexagon_by_loops(m, half_side):
@@ -411,6 +412,35 @@ def test_asymmetric_region_rejected():
     region = free_hook_region(1, (2,))
     with pytest.raises(ValueError, match="invariant"):
         count_symmetric_tilings(region, "central")
+
+
+_BOX = holed_hexagon(1, 2)  # invariant under both symmetries; x in 0..3, y in -3..3
+NOT_INVARIANT = {
+    # An interior cell removed, so the bounding box and its mirrors stay put.
+    "cells": (Region(_BOX.cells - {Cell(1, 1, "L")}), "region is not invariant under the {mode} symmetry"),
+    # One free edge on the left vertical side, none at its mirror images.
+    "free edges": (Region(_BOX.cells, [(0, 1)]), "free edges are not invariant under the symmetry"),
+    # A lozenge by the left side weighs 2, and its three mirror images 1/2:
+    # the weighted lozenges are invariant, their weights are not.
+    "weights": (
+        Region(_BOX.cells, (), {
+            frozenset({Cell(0, 0, "L"), Cell(0, 1, "R")}): 2,
+            frozenset({Cell(0, 0, "L"), Cell(0, -1, "R")}): Fraction(1, 2),
+            frozenset({Cell(3, 0, "R"), Cell(3, 1, "L")}): Fraction(1, 2),
+            frozenset({Cell(3, 0, "R"), Cell(3, -1, "L")}): Fraction(1, 2),
+        }),
+        "lozenge weights are not invariant under the symmetry",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["central", "vertical", "both"])
+@pytest.mark.parametrize("what", sorted(NOT_INVARIANT))
+def test_non_invariant_regions_rejected_in_every_mode(what, mode):
+    region, message = NOT_INVARIANT[what]
+    with pytest.raises(ValueError) as exc:
+        count_symmetric_tilings(region, mode)
+    assert str(exc.value) == message.format(mode=mode)
 
 
 def test_tilings_cover_each_cell_once():

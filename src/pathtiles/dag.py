@@ -4,7 +4,8 @@ vertex-disjoint path-family enumeration oracle.
 Graphs are finite, multi-edges are allowed, and edge weights live in any
 commutative ring (int, Fraction, QtPolynomial).  A family of paths is
 nonintersecting when the paths are pairwise vertex-disjoint; a length-zero
-path sitting at a vertex blocks that vertex.
+path sitting at a vertex blocks that vertex.  The oracle walks every path of
+a family on one explicit stack and does not recurse.
 """
 
 from __future__ import annotations
@@ -203,71 +204,53 @@ def nonintersecting_gf(graph: WeightedDag, spec: EndpointSpec, perm=None, budget
     """
     spec.validate(graph)
     m = len(spec.starts)
-    n = len(spec.ends)
     if perm is None:
         perm = tuple(range(m))
     if sorted(perm) != list(range(m)):
         raise ValueError("perm must be a permutation of the start indices")
     if budget is None:
         budget = Budget()
-    end_index = {v: j for j, v in enumerate(spec.ends)}
+    if m == 0:
+        return 1
 
-    # Path k is walked depth-first from its start; at each end vertex of
-    # index j >= min_j, the paths after it are counted with min_j = j + 1 and
-    # the walk's vertices blocked, and path k's total gains the walk's weight
-    # times theirs.  levels[k] holds path k's [min_j, blocked, total, walk,
-    # vertices on the walk].  A walk is a stack of (weight, vertex, untried
-    # out-edges); its bottom entry only holds the edge into the start.
-    spend, out_edges, end_of = budget.spend, graph.out_edges, end_index.get
-    levels: list = []
-    call = (0, frozenset())  # (min_j, blocked) of path len(levels), to count
-    result = None  # the count of the paths after the top level's path
-    while True:
-        if call is not None:
-            min_j, blocked = call
-            call = None
-            k = len(levels)
-            if k < m and spec.starts[perm[k]] not in blocked:
-                levels.append([min_j, blocked, 0, [(1, None, iter(((spec.starts[perm[k]], 1),)))], set()])
-            else:
-                result = 1 if k == m else 0
-        if result is not None:
-            if not levels:
-                return result
-            level = levels[-1]
-            if result != 0:
-                level[2] = level[2] + level[3][-1][0] * result
-            result = None
-        min_j, blocked, _, walk, seen = levels[-1]
-        weight, _, edges = walk[-1]
-        while True:
-            for y, w in edges:
-                if y not in blocked and y not in seen:
-                    break
-            else:
-                seen.discard(walk.pop()[1])
-                if not walk:
-                    result = levels.pop()[2]
-                    break
-                weight, _, edges = walk[-1]
-                continue
-            spend()
-            seen.add(y)
-            weight, edges = weight * w, iter(out_edges(y))
-            walk.append((weight, y, edges))
-            j = end_of(y)
-            if j is not None and j >= min_j:
-                call = (j + 1, blocked | seen)
+    # Stack entries: (family weight, vertex, untried out-edges, path number,
+    # least admissible end index); a path's bottom entry only holds the edge
+    # into its start, and seen holds every vertex on the stack.  An admissible
+    # end counts the family or starts the next path, then the walk goes on.
+    bottom = object()  # the vertex of a bottom entry: no graph vertex, not even None
+    starts = [spec.starts[i] for i in perm]
+    spend, out_edges = budget.spend, graph.out_edges
+    end_of = {v: j for j, v in enumerate(spec.ends)}.get
+    total = 0
+    seen: set = set()
+    stack = [(1, bottom, iter(((starts[0], 1),)), 0, 0)]
+    while stack:
+        weight, _, edges, k, min_j = stack[-1]
+        for y, w in edges:
+            if y not in seen:
                 break
+        else:
+            seen.discard(stack.pop()[1])
+            continue
+        spend()
+        seen.add(y)
+        weight = weight * w
+        stack.append((weight, y, iter(out_edges(y)), k, min_j))
+        j = end_of(y)
+        if j is not None and j >= min_j:
+            if k + 1 == m:
+                total = total + weight
+            else:  # the bottom entry skips a start already taken, without spending
+                stack.append((weight, bottom, iter(((starts[k + 1], 1),)), k + 1, j + 1))
+    return total
 
 
 def signed_path_sum(graph: WeightedDag, spec: EndpointSpec, budget: Budget | None = None):
     """Permutation-signed sum of nonintersecting-family generating functions."""
-    m = len(spec.starts)
     if budget is None:
         budget = Budget()
     total = 0
-    for perm in itertools.permutations(range(m)):
+    for perm in itertools.permutations(range(len(spec.starts))):
         value = nonintersecting_gf(graph, spec, perm, budget)
         if value != 0:
             total = total + permutation_sign(perm) * value
@@ -283,22 +266,19 @@ def is_compatible(graph: WeightedDag, spec: EndpointSpec, budget: Budget | None 
     spec.validate(graph)
     if budget is None:
         budget = Budget()
-    m = len(spec.starts)
-    n = len(spec.ends)
     cache: dict[tuple, list[frozenset]] = {}
 
     def vertex_sets(a, b):
-        key = (a, b)
-        if key not in cache:
-            cache[key] = [vs for vs, _ in iter_path_vertex_sets(graph, a, b, budget)]
-        return cache[key]
+        if (a, b) not in cache:
+            cache[a, b] = [vs for vs, _ in iter_path_vertex_sets(graph, a, b, budget)]
+        return cache[a, b]
 
-    for i, j in itertools.combinations(range(m), 2):
-        for k, l in itertools.combinations(range(n), 2):
-            upper = vertex_sets(spec.starts[i], spec.ends[l])
+    for a, b in itertools.combinations(spec.starts, 2):
+        for c, d in itertools.combinations(spec.ends, 2):
+            upper = vertex_sets(a, d)
             if not upper:
                 continue
-            lower = vertex_sets(spec.starts[j], spec.ends[k])
+            lower = vertex_sets(b, c)
             for p in upper:
                 for s in lower:
                     budget.spend()

@@ -121,6 +121,8 @@ class Region:
                     raise ValueError(f"weighted pair {sorted(group)} is not a lozenge")
             elif len(group) != 1:
                 raise ValueError("weight keys must cover one or two cells")
+            elif cell_vertical_side(min(group)) not in self.free_edges:
+                raise ValueError(f"weighted cell {min(group)} has no free half")
             self.weights[group] = Fraction(value)
 
     def __len__(self) -> int:
@@ -429,12 +431,20 @@ def reflect_cells(cells, line: int = 0):
 
 
 def doubled_region(region: Region, line: int = 0) -> Region:
-    """Union of a region with its mirror image; free edges become interior."""
-    cells = set(region.cells) | set(reflect_cells(region.cells, line))
-    weights = dict(region.weights)
+    """Union of a region with its mirror image; free edges, which must lie on
+    the mirror line, become interior.  A free half {c} and its weight become
+    the crossing lozenge {c, mirror(c)}."""
+    for edge in region.free_edges:
+        if edge[0] != line:
+            raise ValueError(f"free edge {edge} is not on the mirror line {line}")
+    weights = {}
     for key, w in region.weights.items():
-        weights[frozenset(reflect_cells(key, line))] = w
-    return Region(cells, (), weights)
+        mirrored = reflect_cells(key, line)
+        if len(key) == 1:
+            weights[key | mirrored] = w
+        else:
+            weights[key] = weights[mirrored] = w
+    return Region(region.cells | reflect_cells(region.cells, line), (), weights)
 
 
 # ---------------------------------------------------------------------------

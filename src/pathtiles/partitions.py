@@ -254,20 +254,20 @@ def qt_path_matrix(m: int, shape) -> ExactMatrix:
     return ExactMatrix.from_rows(rows)
 
 
-def _rows_by_top_degree(rows: list[list[dict]], stride: int) -> tuple[list[int], list[int]]:
+def _rows_by_top_degree(rows: list[list[dict]], stride: int) -> list[int]:
     """The order of Z's rows (given as their entries' term maps) by top
-    degree stride * e_q + e_t, lowest first, and each row's top degree.
-    Permuting Z's rows leaves det[Z U Z^T] as it is, and its DP multiplies
-    each row into every minor of the rows before it."""
+    degree stride * e_q + e_t, lowest first.  Permuting Z's rows leaves
+    det[Z U Z^T] as it is, and its DP multiplies each row into every minor
+    of the rows before it."""
     tops = [max((stride * eq + et for e in row for eq, et in e), default=0) for row in rows]
-    return sorted(range(len(rows)), key=tops.__getitem__), tops
+    return sorted(range(len(rows)), key=tops.__getitem__)
 
 
 def qt_gf_determinant(m: int, shape) -> QtPolynomial:
     """det[M(q,t) U M(q,t)^T]: the square of the (q,t)-generating function."""
     shape = validate_strict_partition(shape)
     z = qt_path_matrix(m, shape)
-    order, _ = _rows_by_top_degree([[e.terms() for e in z.row(i)] for i in range(z.rows)], 1)
+    order = _rows_by_top_degree([[e.terms() for e in z.row(i)] for i in range(z.rows)], 1)
     z = ExactMatrix(z.rows, z.cols, [e for i in order for e in z.row(i)])
     return QtPolynomial.from_scalar(determinant(upper_twos_gram(z)))
 
@@ -290,18 +290,14 @@ def volume_gf(m: int, shape, which: str) -> QtPolynomial:
     # Each entry is a power of t times a polynomial in q, so no two of its
     # terms share a slot at any stride.
     rows = [[e.terms() for e in z.row(i)] for i in range(z.rows)]
-    order, tops = _rows_by_top_degree(rows, stride)
-    rows = [rows[i] for i in order]
-    # Gram entry (i, j) has degree <= tops[i] + tops[j].
-    degree = 2 * sum(tops)
+    rows = [rows[i] for i in _rows_by_top_degree(rows, stride)]
     # L1 norms are subadditive and submultiplicative and U >= 0, so every
     # |coefficient| <= L1(det) <= permanent of the Gram matrix of norms.
     norms = ExactMatrix(z.rows, z.cols, [sum(map(abs, e.values())) for row in rows for e in row])
     width = slot_width(permanent(upper_twos_gram(norms)))
     packed = ExactMatrix(z.rows, z.cols, [kronecker_pack(e, stride, width) for row in rows for e in row])
     value = division_free_determinant(upper_twos_gram(packed))
-    coeffs = kronecker_unpack(value, degree + 1, width)
-    return QtPolynomial({(e, 0): c for e, c in enumerate(coeffs) if c})
+    return QtPolynomial(kronecker_unpack(value, 1, width))
 
 
 def lattice_path_gf(a: int, b: int, c: int, d: int) -> QtPolynomial:

@@ -18,10 +18,11 @@ into one big integer once, sums every target's products on ints and unpacks
 each target once.  ``QtPolynomial.__mul__`` is its one-pair case, and the
 polynomial determinants of ``linalg`` make one call per batch.  Rational
 and very sparse batches, and batches with too few term pairs per target,
-use the schoolbook dict loop.  The byte-slot packer and unpacker
-(``kronecker_pack``, ``kronecker_unpack``, ``slot_width``) are public
-because whole formulas are evaluated the same way: the volume GFs of
-``partitions`` pack every matrix entry once and unpack only the result.
+use the schoolbook dict loop.  The byte-slot packer ``kronecker_pack``,
+``slot_width`` and the single unpacker ``kronecker_unpack``, which reads a
+packed value up to its top nonzero slot into a term map, are public because
+whole formulas are evaluated the same way: the volume GFs of ``partitions``
+pack every matrix entry once and unpack only the result.
 Everything is immutable after construction, so values can be shared freely.
 """
 
@@ -317,22 +318,8 @@ def _mac_packed(batch: list, term_pairs: int) -> list[dict] | None:
             if a and b:
                 product = packed[id(a)] * packed[id(b)]
                 acc = acc + product if sign > 0 else acc - product
-        out.append(_unpack_terms(acc, stride, width))
+        out.append(kronecker_unpack(acc, stride, width))
     return out
-
-
-def _unpack_terms(value: int, stride: int, width: int) -> dict:
-    """Term map of a packed value, reading only up to its top nonzero slot.
-
-    Slots below the top one hold less than X / 2 together, where
-    X = 2^(8 * width), so a value whose top nonzero slot is s has
-    X^s / 2 < |value| < X^(s+1) / 2, and its bit length fixes s.
-    """
-    if not value:
-        return {}
-    slots = abs(value).bit_length() // (8 * width) + 1
-    half = 1 << (8 * width - 1)
-    return {divmod(i, stride): v - half for i, v in enumerate(_biased_slots(value, slots, width)) if v != half}
 
 
 def slot_width(bound: int) -> int:
@@ -379,32 +366,34 @@ def _bias(slots: int, width: int) -> int:
     return int.from_bytes((b"\0" * (width - 1) + b"\x80") * slots, "little")
 
 
-def kronecker_unpack(value: int, slots: int, width: int) -> list[int]:
-    """Coefficients of slots 0 .. slots - 1 of a packed value, inverse to
-    kronecker_pack for any polynomial of degree < slots whose coefficients
-    fit the slot width."""
-    half = 1 << (8 * width - 1)
-    return [v - half for v in _biased_slots(value, slots, width)]
+def kronecker_unpack(value: int, stride: int, width: int) -> dict:
+    """Term map of a packed value, inverse to kronecker_pack at the same
+    stride and width: slot i holds term divmod(i, stride).
 
-
-def _biased_slots(value: int, slots: int, width: int) -> list[int]:
-    """Slots 0 .. slots - 1 of value, each plus 2^(8 * width - 1).
-
-    Adding that bias to every slot makes all slots nonnegative, so the bytes
+    Slots below the top nonzero one hold less than X / 2 together, where
+    X = 2^(8 * width), so a value whose top nonzero slot is s has
+    X^s / 2 < |value| < X^(s+1) / 2, and its bit length fixes s.  Adding
+    2^(8 * width - 1) to every slot makes all slots nonnegative, so the bytes
     of the biased value are the slots themselves.  Slots of at most 8 bytes
     are widened to machine words by strided copies and read in one call.
     """
+    if not value:
+        return {}
+    slots = abs(value).bit_length() // (8 * width) + 1
     size = slots * width
     data = (value + _bias(slots, width)).to_bytes(size, "little")
     if width > 8:
-        return [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
-    raw = bytearray(8 * slots)
-    for j in range(width):
-        raw[j::8] = data[j::width]
-    words = array("Q", raw)
-    if not _LITTLE_ENDIAN:
-        words.byteswap()
-    return words.tolist()
+        biased = [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
+    else:
+        raw = bytearray(8 * slots)
+        for j in range(width):
+            raw[j::8] = data[j::width]
+        words = array("Q", raw)
+        if not _LITTLE_ENDIAN:
+            words.byteswap()
+        biased = words.tolist()
+    half = 1 << (8 * width - 1)
+    return {divmod(i, stride): v - half for i, v in enumerate(biased) if v != half}
 
 
 def _format_monomial(coeff: Fraction, eq: int, et: int) -> str:

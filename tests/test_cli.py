@@ -297,6 +297,7 @@ BAD_REGION_FILES = [
     {"cells": [[0, 0, "L"], [1, 0, "R"]], "weights": [[[0, 0, "L"], [1, 0, "R"]]]},
     {"cells": [[0, 0, "L"], [1, 0, "R"]], "weights": [{"cells": [[0, 0, "L"], [1, 0, "R"]], "w": [1]}]},
     {"cells": [[0, 0, "L"], [1, 0, "R"]], "weights": [{"cells": [[0, 0, "L"], [1, 0, "R"]], "w": "1/0"}]},
+    {"cells": [[0, 0, "L"], [1, 0, "R"]], "weights": [{"cells": [[0, 0, "L"]], "w": "5"}]},
 ]
 
 

@@ -1,6 +1,9 @@
 """Path generating functions and the nonintersecting-family oracle."""
 
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -110,11 +113,65 @@ def test_zero_length_paths_block_their_vertex():
     assert nonintersecting_gf(g, spec2) == 1
 
 
+def test_none_is_a_vertex_like_any_other():
+    # Path 1 may not pass through None on path 0, before or after path 0
+    # goes on past its first end.
+    g = WeightedDag(
+        ["a", None, "e1", "e2", "e3", "b"],
+        [("a", None, 1), (None, "e1", 1), ("e1", "e2", 1), ("b", None, 1), (None, "e3", 1), ("b", "e3", 1)],
+    )
+    assert nonintersecting_gf(g, EndpointSpec(("a", "b"), ("e1", "e2", "e3"))) == 2
+
+
+def _brute_family_sum(g, spec, perm):
+    # Over increasing end tuples: every choice of one path per (start, end)
+    # pair, from iter_path_vertex_sets, kept when the paths are disjoint.
+    total = 0
+    for ends in itertools.combinations(spec.ends, len(perm)):
+        paths = [list(iter_path_vertex_sets(g, spec.starts[i], end, Budget())) for i, end in zip(perm, ends)]
+        for family in itertools.product(*paths):
+            sets = [vs for vs, _ in family]
+            if sum(map(len, sets)) == len(frozenset().union(*sets)):
+                total += math.prod(w for _, w in family)
+    return total
+
+
+def _random_family_instance(rng):
+    # A small grid with right, up and diagonal steps, each present zero to
+    # two times (multi-edges); ends include interior vertices and one start.
+    w, h = rng.randint(1, 2), rng.randint(1, 2)
+    vertices = [(x, y) for x in range(w + 1) for y in range(h + 1)]
+    edges = [
+        ((x, y), (x + dx, y + dy), rng.choice((1, 2, -1, Fraction(1, 2))))
+        for x, y in vertices
+        for dx, dy in ((1, 0), (0, 1), (1, 1))
+        if x + dx <= w and y + dy <= h
+        for _ in range(rng.choice((0, 1, 1, 2)))
+    ]
+    m = rng.randint(1, 3)
+    starts = rng.sample(vertices, m)
+    others = [v for v in vertices if v != starts[-1]]
+    ends = [starts[-1], *rng.sample(others, rng.randint(m - 1, min(m + 1, len(others))))]
+    rng.shuffle(ends)
+    return WeightedDag(vertices, edges), EndpointSpec(tuple(starts), tuple(ends))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_family_oracle_matches_disjoint_path_products(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        g, spec = _random_family_instance(rng)
+        signed = 0
+        for perm in itertools.permutations(range(len(spec.starts))):
+            value = _brute_family_sum(g, spec, perm)
+            assert nonintersecting_gf(g, spec, perm) == value, (g.edges, spec, perm)
+            signed += permutation_sign(perm) * value
+        assert signed_path_sum(g, spec) == signed
+
+
 def test_signed_sum_equals_determinant_square_grids():
     g = grid_graph(2, 2)
     vertices = [(x, y) for x in range(3) for y in range(3)]
-    import random
-
     rng = random.Random(21)
     for _ in range(15):
         m = rng.randint(1, 3)

@@ -26,6 +26,7 @@ from pathtiles.lozenge import (
     Cell,
     Region,
     cell_partners,
+    cell_vertical_side,
     check_hexagon_factorization,
     check_square_identity,
     count_symmetric_tilings,
@@ -265,9 +266,27 @@ def test_region_keeps_cells_and_converts_tuples():
 
 
 def test_doubling_self_test():
-    for shape, m in [((1,), 1), ((2,), 1), ((2, 1), 0), ((2, 1), 1)]:
-        region = free_hook_region(m, shape)
+    regions = [free_hook_region(m, shape) for shape, m in [((1,), 1), ((2,), 1), ((2, 1), 0), ((2, 1), 1)]]
+    # Weighted free halves become weighted crossing lozenges.
+    hook = regions[-1]
+    halves = {frozenset({c}): 3 for c in hook.cells if cell_vertical_side(c) in hook.free_edges}
+    regions.append(Region(hook.cells, hook.free_edges, {**hook.weights, **halves}))
+    assert count_tilings(regions[-1]) == 36
+    for region in regions:
         assert count_symmetric_tilings(doubled_region(region), "vertical") == count_tilings(region)
+
+
+def test_doubling_needs_free_edges_on_the_mirror_line():
+    region = free_hook_region(1, (2, 1))
+    with pytest.raises(ValueError, match="not on the mirror line 1"):
+        doubled_region(region, 1)
+
+
+def test_one_cell_weight_needs_a_free_half():
+    cells = [(0, 0, "L"), (1, 0, "R")]
+    with pytest.raises(ValueError, match=r"^weighted cell Cell\(x=0, y=0, orient='L'\) has no free half$"):
+        Region(cells, (), {frozenset({(0, 0, "L")}): 5})
+    assert count_tilings(Region(cells[:1], [(1, 0)], {frozenset({(0, 0, "L")}): 5})) == 5
 
 
 def test_hexagon_counts():

@@ -1,13 +1,16 @@
 """Shifted/symmetric plane partitions and their generating functions."""
 
 import ast
+import importlib
 import inspect
 import itertools
+import pkgutil
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import pathtiles
 from pathtiles import linalg, partitions, ring
 from pathtiles.dag import Budget, BudgetExceeded
 from pathtiles.linalg import ExactMatrix, determinant, division_free_determinant, upper_twos, upper_twos_gram
@@ -393,14 +396,18 @@ def test_long_rows_do_not_recurse():
     assert pp_sym_volume_gf(0, symmetrize_shape((1200,))) == 1
 
 
-def test_no_function_in_partitions_recurses():
-    # ring is checked too: partitions builds its path matrices on qbinomial.
-    for module in (partitions, ring):
-        tree = ast.parse(inspect.getsource(module))
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                called = {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-                assert fn.name not in called, f"{module.__name__}.{fn.name}"
+SUBMODULES = [m.name for m in pkgutil.iter_modules(pathtiles.__path__, "pathtiles.")]
+
+
+@pytest.mark.parametrize("name", ["pathtiles", *(n for n in SUBMODULES if n != "pathtiles.__main__")])
+def test_no_function_recurses(name):
+    # No function of any pathtiles module calls itself by name.
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            called = {n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            assert fn.name not in called, f"{module.__name__}.{fn.name}"
 
 
 def test_repeated_cell_is_checked_against_its_bounds():

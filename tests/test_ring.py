@@ -251,11 +251,12 @@ def test_kronecker_pack_round_trip(stride):
         terms = {(i, i % stride): (-1) ** i * (bound - i % 3) for i in range(12)}
         packed = ring.kronecker_pack(terms, stride, width)
         assert packed == sum(c * 2 ** (8 * width * (eq * stride + et)) for (eq, et), c in terms.items())
-        slots = 11 * stride + stride
-        coeffs = ring.kronecker_unpack(packed, slots, width)
-        assert coeffs == [terms.get(divmod(i, stride), 0) for i in range(slots)]
+        # Unpacking returns the nonzero terms only.
+        nonzero = {k: c for k, c in terms.items() if c}
+        assert ring.kronecker_unpack(packed, stride, width) == nonzero
+        assert ring.kronecker_unpack(-packed, stride, width) == {k: -c for k, c in nonzero.items()}
     assert ring.kronecker_pack({}, stride, 3) == 0
-    assert ring.kronecker_unpack(0, 4, 3) == [0, 0, 0, 0]
+    assert ring.kronecker_unpack(0, stride, 3) == {}
 
 
 def test_mixed_int_and_fraction_operands():
@@ -431,9 +432,9 @@ def test_unpack_reads_to_the_top_nonzero_slot(stride):
             terms = {(i, i % stride): (-1) ** i * (top - i) for i in range(20)}
             terms[(20, stride - 1)] = lead
             packed = ring.kronecker_pack(terms, stride, width)
-            assert ring._unpack_terms(packed, stride, width) == terms
-            assert ring._unpack_terms(-packed, stride, width) == {k: -c for k, c in terms.items()}
-    assert ring._unpack_terms(0, stride, 3) == {}
+            assert ring.kronecker_unpack(packed, stride, width) == terms
+            assert ring.kronecker_unpack(-packed, stride, width) == {k: -c for k, c in terms.items()}
+    assert ring.kronecker_unpack(0, stride, 3) == {}
 
 
 @pytest.mark.parametrize("count", [3, 40])
@@ -445,8 +446,7 @@ def test_kronecker_pack_round_trip_at_every_width(count):
         terms = {(i, i % 2): (-1) ** i * (bound - i) for i in range(count)}
         packed = ring.kronecker_pack(terms, 2, width)
         assert packed == sum(c * 2 ** (8 * width * (2 * eq + et)) for (eq, et), c in terms.items())
-        coeffs = ring.kronecker_unpack(packed, 2 * count, width)
-        assert coeffs == [terms.get(divmod(i, 2), 0) for i in range(2 * count)]
+        assert ring.kronecker_unpack(packed, 2, width) == terms
 
 
 def test_kronecker_pack_with_t_degrees_above_the_stride():

@@ -16,12 +16,13 @@ when it is integral and a Fraction only when it is not.
 
 ``division_free_determinant`` is a Laplace expansion over column subsets:
 O(2^n * n) ring products and no division, so it is exponential in the order
-and capped at order 20.  Each row of the expansion is one batch of signed
-sums of products; only how a batch is summed depends on the entry ring.
-Polynomial rows make one ``ring.multiply_accumulate`` call, which packs each
-minor and entry once and unpacks each new minor once.  Callers that evaluate
-a polynomial determinant at a Kronecker point (ring.kronecker_pack) call it
-directly on the packed ints: their entries run to thousands of bits, and
+and capped at order 20.  The first row of the expansion is the row itself,
+and each later row is one batch of signed sums of products; only how a
+batch is summed depends on the entry ring.  Polynomial rows make one
+``ring.multiply_accumulate`` call, which packs each minor and entry once
+and unpacks each new minor once.  Callers that evaluate a polynomial
+determinant at a Kronecker point (ring.kronecker_pack) call it directly on
+the packed ints: their entries run to thousands of bits, and
 CPython's exact ``//`` on such ints is quadratic in their length, so at the
 orders used (up to about 8) Bareiss' n^3 divisions cost more than the DP's
 products.  The same expansion serves ``permanent`` (unsigned) and
@@ -40,7 +41,8 @@ no code with it and is kept only as its oracle.
 
 ``upper_twos_gram`` forms Z U Z^T, the matrix of the squared minor-sum
 identity, by running sums and dot products without forming U; polynomial
-entries make one kernel call for all of it.  The Okada-Stembridge Pfaffian
+entries make one kernel call for all of it, and packed ones are summed on
+ints.  The Okada-Stembridge Pfaffian
 Pf[Z E Z^T] of ``sum_max_minors_pfaffian`` is read off the same Gram matrix:
 E = skew_ones(n) = U - J with J the all-ones matrix, so
 Z E Z^T = Z U Z^T - s s^T, where s holds the row sums of Z.  An odd row
@@ -216,11 +218,12 @@ def _column_subset_dp(matrix: ExactMatrix, signed: bool) -> dict:
     """Row r maps each r-subset of columns to the expansion of the first r
     rows on it; one DP row is one batch of sums of products.  Returns the
     last row: each rows-subset of columns, as a bitmask, with the minor (or,
-    unsigned, the permanent) on those columns in sorted order."""
+    unsigned, the permanent) on those columns in sorted order.  The first
+    row is its own expansion, so no batch is made for it."""
     n = matrix.cols
     sums = _sums_of_products(matrix._entries)
-    state = {0: 1}
-    for r in range(matrix.rows):
+    state = {1 << j: x for j, x in enumerate(matrix.row(0))} if matrix.rows else {0: 1}
+    for r in range(1, matrix.rows):
         row = matrix.row(r)
         targets: dict[int, list] = {}
         for mask, value in state.items():

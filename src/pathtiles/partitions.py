@@ -7,9 +7,11 @@ partitions of the symmetrized shape.  The (q,t)-weight of a filling is
 q^(sum of off-diagonal entries) * t^(sum of diagonal entries); its square
 has a determinant formula through the weighted-lattice path matrix, whose
 entries are products of a power of t with a Gaussian binomial.  The volume
-GFs specialize it to (q, t) -> (q, q) and (q^2, q).  A specialization
-(q^s, q) is Kronecker packing at stride s, so ``volume_gf`` packs each
-path-matrix entry once into a big int and evaluates the determinant on ints.
+GFs specialize it to (q, t) -> (q, q) and (q^2, q), which is Kronecker
+packing at stride 1 and 2.  Both determinant routes pack that matrix at
+(q, t) = (X^s, X) straight from the cached Gaussian binomials (its
+polynomial form ``qt_path_matrix`` is their oracle): ``volume_gf`` takes
+the whole determinant on ints, ``qt_gf_determinant`` only Z U Z^T.
 
 Every enumeration runs on one filling engine: an explicit-stack odometer
 over the cells of a diagram, each bounded by its west and north neighbours,
@@ -23,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, islice
+from math import comb
 
 from .budget import Budget
 from .linalg import ExactMatrix, determinant, division_free_determinant, permanent, upper_twos_gram
@@ -32,7 +35,7 @@ from .lozenge import (
     mirrored_tiling_gf_formula,
     validate_strict_partition,
 )
-from .ring import QtPolynomial, kronecker_pack, kronecker_unpack, qbinomial, slot_width
+from .ring import QtPolynomial, kronecker_pack, qbinomial, slot_width
 
 
 @dataclass(frozen=True)
@@ -254,22 +257,44 @@ def qt_path_matrix(m: int, shape) -> ExactMatrix:
     return ExactMatrix.from_rows(rows)
 
 
-def _rows_by_top_degree(rows: list[list[dict]], stride: int) -> list[int]:
-    """The order of Z's rows (given as their entries' term maps) by top
-    degree stride * e_q + e_t, lowest first.  Permuting Z's rows leaves
-    det[Z U Z^T] as it is, and its DP multiplies each row into every minor
-    of the rows before it."""
-    tops = [max((stride * eq + et for e in row for eq, et in e), default=0) for row in rows]
-    return sorted(range(len(rows)), key=tops.__getitem__)
+def _packed_path_matrix(m: int, shape: tuple[int, ...], stride: int, bound):
+    """Z at (q, t) = (X^stride, X) from the cached q-binomials, for a
+    validated shape and m.  Entry (i, j) is t^u * qbinomial(p_i - 1 + u, u)
+    with u = m + i - j (0 for u < 0), so it packs as that q-binomial shifted
+    up u slots, with L1 norm C(p_i - 1 + u, u).  X = 2^(8 * width) for
+    width = slot_width(bound(the Gram matrix of the norms)).  Rows come
+    lowest top degree (m + i - 1) * (stride * (p_i - 1) + 1) first:
+    det[Z U Z^T] ignores row order, and its DP multiplies each row into
+    every minor of the rows before it.  Returns (order, norms, packed,
+    width), row r holding Z's row order[r].
+    """
+    k, cols = len(shape), m + len(shape)
+    order = sorted(range(k), key=lambda i: (m + i) * (stride * (shape[i] - 1) + 1))
+    cells = [(shape[i] - 1, u) for i in order for u in range(m + i, m + i - cols, -1)]
+    norms = ExactMatrix(k, cols, [comb(a + u, u) if u >= 0 else 0 for a, u in cells])
+    width = slot_width(bound(upper_twos_gram(norms)))
+    packed = [
+        kronecker_pack(qbinomial(a + u, u).terms(), stride, width) << (8 * width * u) if u >= 0 else 0
+        for a, u in cells
+    ]
+    return order, norms, ExactMatrix(k, cols, packed), width
 
 
 def qt_gf_determinant(m: int, shape) -> QtPolynomial:
-    """det[M(q,t) U M(q,t)^T]: the square of the (q,t)-generating function."""
+    """det[M(q,t) U M(q,t)^T]: the square of the (q,t)-generating function.
+
+    Z U Z^T is formed on Z packed at stride 2(m + k) - 1, above its top
+    t-degree 2(m + k - 1).  Its coefficients are nonnegative, so the norms'
+    Gram matrix bounds them.  Its k^2 entries are unpacked once, and the
+    determinant runs on the kernel.
+    """
     shape = validate_strict_partition(shape)
-    z = qt_path_matrix(m, shape)
-    order = _rows_by_top_degree([[e.terms() for e in z.row(i)] for i in range(z.rows)], 1)
-    z = ExactMatrix(z.rows, z.cols, [e for i in order for e in z.row(i)])
-    return QtPolynomial.from_scalar(determinant(upper_twos_gram(z)))
+    _check_bound(m)
+    stride = 2 * (m + len(shape)) - 1
+    *_, packed, width = _packed_path_matrix(m, shape, stride, lambda g: max(map(max, g.to_rows()), default=0))
+    gram = upper_twos_gram(packed)
+    entries = [QtPolynomial.from_packed(v, stride, width) for row in gram.to_rows() for v in row]
+    return QtPolynomial.from_scalar(determinant(ExactMatrix(gram.rows, gram.cols, entries)))
 
 
 def volume_gf(m: int, shape, which: str) -> QtPolynomial:
@@ -282,22 +307,17 @@ def volume_gf(m: int, shape, which: str) -> QtPolynomial:
     Kronecker packing at stride s: every entry of the path matrix is packed
     once at q = X^s, t = X for one big power of two X, and the whole
     formula is evaluated on those ints, so the result is unpacked once.
+    L1 norms are subadditive and submultiplicative and U >= 0, so every
+    |coefficient| <= L1(det) <= the permanent of the norms' Gram matrix.
     """
     stride = {"spp": 1, "pp_sym": 2}.get(which)
     if stride is None:
         raise ValueError("which must be 'spp' or 'pp_sym'")
-    z = qt_path_matrix(m, shape)
-    # Each entry is a power of t times a polynomial in q, so no two of its
-    # terms share a slot at any stride.
-    rows = [[e.terms() for e in z.row(i)] for i in range(z.rows)]
-    rows = [rows[i] for i in _rows_by_top_degree(rows, stride)]
-    # L1 norms are subadditive and submultiplicative and U >= 0, so every
-    # |coefficient| <= L1(det) <= permanent of the Gram matrix of norms.
-    norms = ExactMatrix(z.rows, z.cols, [sum(map(abs, e.values())) for row in rows for e in row])
-    width = slot_width(permanent(upper_twos_gram(norms)))
-    packed = ExactMatrix(z.rows, z.cols, [kronecker_pack(e, stride, width) for row in rows for e in row])
+    shape = validate_strict_partition(shape)
+    _check_bound(m)
+    *_, packed, width = _packed_path_matrix(m, shape, stride, permanent)
     value = division_free_determinant(upper_twos_gram(packed))
-    return QtPolynomial(kronecker_unpack(value, 1, width))
+    return QtPolynomial.from_packed(value, 1, width)
 
 
 def lattice_path_gf(a: int, b: int, c: int, d: int) -> QtPolynomial:

@@ -60,6 +60,10 @@ def build_mirrored_graph(inp: ReflectionInput, variant: str = "bar") -> tuple[We
         raise ValueError(f"variant must be one of {VARIANTS}")
     g, spec = inp.graph, inp.spec
     mirror = {v: mirrored_id(v) for v in g.vertices}
+    source = {}
+    for v, image in mirror.items():
+        if source.setdefault(image, v) is not v:
+            raise ValueError(f"mirrored ids collide: vertices {source[image]!r} and {v!r} both mirror to {image!r}")
     clash = set(mirror.values()) & {v for v in g.vertices}
     if clash:
         raise ValueError(f"mirrored ids collide with existing vertices: {sorted(clash)!r}")

@@ -12,17 +12,17 @@ compare equal, the choice is invisible to ``==``, ``hash`` and ``str``.
 Integer products with many term pairs use Kronecker substitution
 (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 2009), batched: ``multiply_accumulate``
-takes many targets, each a signed sum of products a * b, picks one slot
-layout for the whole batch from its operands, packs each distinct operand
-into one big integer once, sums every target's products on ints and unpacks
-each target once.  ``QtPolynomial.__mul__`` is its one-pair case, and the
-polynomial determinants of ``linalg`` make one call per batch.  Rational
-and very sparse batches, and batches with too few term pairs per target,
-use the schoolbook dict loop.  The byte-slot packer ``kronecker_pack``,
+takes many targets, each a signed sum of products a * b, lays the batch
+out by the products it holds, packs each distinct operand into one big
+integer once, sums every target's products on ints and unpacks each target
+once.  ``QtPolynomial.__mul__`` is its one-pair case, and the polynomial
+determinants of ``linalg`` make one call per batch.  Rational and very
+sparse batches, and batches with too few term pairs per target, use the
+schoolbook dict loop.  The byte-slot packer ``kronecker_pack``,
 ``slot_width`` and the single unpacker ``kronecker_unpack``, which reads a
 packed value up to its top nonzero slot into a term map, are public because
-whole formulas are evaluated the same way: the volume GFs of ``partitions``
-pack every matrix entry once and unpack only the result.
+whole formulas are evaluated the same way: ``partitions`` packs every
+path-matrix entry once and reads results with ``QtPolynomial.from_packed``.
 Everything is immutable after construction, so values can be shared freely.
 """
 
@@ -32,7 +32,6 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
 
 # Term pairs (sum of |a| * |b|) above which an all-int product is packed.
@@ -83,6 +82,11 @@ class QtPolynomial:
         if isinstance(value, QtPolynomial):
             return value
         return cls({(0, 0): value})
+
+    @classmethod
+    def from_packed(cls, value: int, stride: int, width: int) -> "QtPolynomial":
+        """The polynomial of a packed value; kronecker_unpack's maps are clean."""
+        return _raw(kronecker_unpack(value, stride, width))
 
     def terms(self) -> dict[tuple[int, int], int | Fraction]:
         """A copy of the term map; integral coefficients are ints."""
@@ -264,52 +268,46 @@ def _mac_dict(target: list) -> dict:
     return out
 
 
-def _extent(operands) -> tuple[int, int, int, int]:
-    """(max deg_q, max deg_t, max |coefficient|, max term count) of nonempty
-    term maps."""
-    values = list(chain.from_iterable(map(dict.values, operands)))
-    return (
-        max(map(max, operands))[0],
-        max(map(itemgetter(1), chain.from_iterable(operands))),
-        max(max(values), -min(values)),
-        max(map(len, operands)),
-    )
-
-
 def _mac_packed(batch: list, term_pairs: int) -> list[dict] | None:
-    """Kronecker substitution for a whole batch of int term maps.
+    """Kronecker substitution for a whole batch of int term maps, laid out
+    by the products it holds.
 
-    Term (e_q, e_t) goes to slot e_q * stride + e_t with stride =
-    max deg_t(a) + max deg_t(b) + 1 over the left and right operands, so no
-    product exponent carries across slots.  Every product coefficient is at
-    most max|a| * max|b| * min(max |a|, max |b| term counts), and a target
-    adds up to `most` products, so the slot holds that times `most` plus a
-    sign bit.
+    Term (e_q, e_t) goes to slot e_q * stride + e_t with stride = the
+    largest deg_t(a) + deg_t(b) of a live pair, plus 1, so no product
+    exponent carries across slots.  A coefficient of a * b is at most
+    min(max|a| * L1(b), L1(a) * max|b|), so the slot holds the largest
+    per-target sum of that bound plus a sign bit.
 
     Returns None for a rational batch, and when the targets together have
     more slots than term pairs: unpacking visits every slot, so the dict
     loop does less work on such sparse input.
     """
-    lefts: dict[int, dict] = {}
-    rights: dict[int, dict] = {}
-    most = 0
+    # id -> (deg_q, deg_t, max |coefficient|, L1 norm) of each live operand.
+    stats: dict[int, tuple[int, int, int, int]] = {}
+    operands: dict[int, dict] = {}
+    top_q = top_t = bound = 0
     for target in batch:
-        live = 0
+        total = 0
         for _, a, b in target:
-            if a and b:
-                lefts[id(a)] = a
-                rights[id(b)] = b
-                live += 1
-        most = max(most, live)
-    operands = lefts | rights
-    if not set(map(type, chain.from_iterable(map(dict.values, operands.values())))) <= {int}:
+            if not (a and b):
+                continue
+            for x in (a, b):
+                if id(x) not in stats:
+                    values = x.values()
+                    if set(map(type, values)) != {int}:
+                        return None
+                    sizes = list(map(abs, values))
+                    stats[id(x)] = (max(x)[0], max(map(itemgetter(1), x)), max(sizes), sum(sizes))
+                    operands[id(x)] = x
+            aq, at, a_big, a_l1 = stats[id(a)]
+            bq, bt, b_big, b_l1 = stats[id(b)]
+            top_q, top_t = max(top_q, aq + bq), max(top_t, at + bt)
+            total += min(a_big * b_l1, a_l1 * b_big)
+        bound = max(bound, total)
+    stride = top_t + 1
+    if (top_q + 1) * stride * len(batch) > term_pairs:
         return None
-    aq, at, a_big, a_len = _extent(lefts.values())
-    bq, bt, b_big, b_len = _extent(rights.values())
-    stride = at + bt + 1
-    if (aq + bq + 1) * stride * len(batch) > term_pairs:
-        return None
-    width = slot_width(a_big * b_big * min(a_len, b_len) * most)
+    width = slot_width(bound)
     packed = {key: kronecker_pack(terms, stride, width) for key, terms in operands.items()}
     out = []
     for target in batch:

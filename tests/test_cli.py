@@ -310,6 +310,23 @@ def test_graph_file_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys, doc, c
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# Well-formed graphs that reflect build cannot mirror: two vertices share a
+# mirror id, or a mirror id is already a vertex.
+BAD_MIRROR_FILES = [
+    ({"vertices": [0, "0"], "edges": [], "starts": [0], "ends": ["0"]}, "vertices 0 and '0' both mirror to \"0'\""),
+    ({"vertices": ["u", "u'"], "edges": [{"from": "u", "to": "u'"}], "starts": ["u"], "ends": ["u'"]}, "collide"),
+]
+
+
+@pytest.mark.parametrize("doc, message", BAD_MIRROR_FILES)
+def test_graph_whose_mirror_ids_collide_is_a_usage_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["reflect", "build", "--variant", "bar", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mirrored ids collide") and message in err
+
+
 @pytest.mark.parametrize("doc", BAD_REGION_FILES)
 @pytest.mark.parametrize("command", [["tile", "count"], ["tile", "verify"], ["compute", "tiling-count"]])
 def test_region_file_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys, doc, command):

@@ -199,21 +199,26 @@ def test_volume_gf_edge_cases(monkeypatch):
             assert volume_gf(m, (), which) == 1
         for shape in SMALL_SHAPES[::7]:
             assert volume_gf(0, shape, which) == 1
+    for m in range(4):
+        assert qt_gf_determinant(m, ()) == 1
 
     def no_work(*args):
-        raise AssertionError("volume_gf did work before validating its input")
+        raise AssertionError("a determinant route did work before validating its input")
 
-    for name in ("qt_path_matrix", "permanent", "kronecker_pack", "division_free_determinant"):
+    work = ("_packed_path_matrix", "upper_twos_gram", "permanent", "kronecker_pack", "determinant", "division_free_determinant")
+    for name in work:
         monkeypatch.setattr(partitions, name, no_work)
     with pytest.raises(ValueError, match="which must be"):
         volume_gf(2, (3, 1), "qt")
-    monkeypatch.undo()
-    monkeypatch.setattr(partitions, "permanent", no_work)
-    for which in ("spp", "pp_sym"):
+    for call in (
+        lambda m, shape: volume_gf(m, shape, "spp"),
+        lambda m, shape: volume_gf(m, shape, "pp_sym"),
+        qt_gf_determinant,
+    ):
         with pytest.raises(ValueError, match="largest entry bound"):
-            volume_gf(-1, (3, 1), which)
-        with pytest.raises(ValueError):
-            volume_gf(2, (1, 3), which)
+            call(-1, (3, 1))
+        with pytest.raises(ValueError, match="strictly decrease"):
+            call(2, (1, 3))
 
 
 def test_volume_gf_is_one_evaluation_on_ints(monkeypatch):
@@ -237,6 +242,54 @@ def test_volume_gf_is_one_evaluation_on_ints(monkeypatch):
     for which, gf in want.items():
         assert volume_gf(4, (6, 4, 3, 1), which) == gf
     assert calls == [4, 4]
+
+
+@pytest.mark.parametrize("stride", [1, 2, "qt"])
+def test_packed_path_matrix_unpacks_to_the_path_matrix(stride):
+    # "qt" is qt_gf_determinant's stride 2(m + k) - 1, at which each entry
+    # unpacks to its own terms; strides 1 and 2 give the volume GFs'
+    # specializations t -> q.  The bound is Z's largest coefficient, so the
+    # width holds that coefficient with no byte to spare.
+    for m, shape in [(m, shape) for shape in SMALL_SHAPES for m in range(4)] + [(6, (9, 7, 6, 3, 2))]:
+        z = qt_path_matrix(m, shape)
+        s = 2 * (m + len(shape)) - 1 if stride == "qt" else stride
+        largest = max((c for e in z.to_rows() for x in e for c in x.terms().values()), default=0)
+        grams = []
+        order, norms, packed, width = partitions._packed_path_matrix(m, shape, s, lambda g: grams.append(g) or largest)
+        assert width == ring.slot_width(largest)
+        assert grams == [upper_twos_gram(norms)]
+        assert sorted(order) == list(range(z.rows)) and (norms.rows, norms.cols) == (z.rows, z.cols)
+        tops = [max((s * eq + et for e in z.row(i) for eq, et in e.terms()), default=0) for i in range(z.rows)]
+        assert [tops[i] for i in order] == sorted(tops), (m, shape)
+        for r, i in enumerate(order):
+            for j, entry in enumerate(z.row(i)):
+                assert norms.entry(r, j) == sum(entry.terms().values()), (m, shape, i, j)
+                if stride == "qt":
+                    assert ring.kronecker_unpack(packed.entry(r, j), s, width) == entry.terms(), (m, shape, i, j)
+                else:
+                    want = substitute(entry, q**s, q).terms()
+                    assert ring.kronecker_unpack(packed.entry(r, j), 1, width) == want, (m, shape, i, j)
+
+
+def test_qt_gf_determinant_forms_its_gram_matrix_on_ints(monkeypatch):
+    m, shape = 4, (6, 4, 3, 1)
+    want = QtPolynomial.from_scalar(determinant(upper_twos_gram(qt_path_matrix(m, shape))))
+    grams = []
+
+    def forbidden(*args):
+        raise AssertionError("qt_gf_determinant built the polynomial path matrix")
+
+    def int_gram(matrix):
+        assert all(type(e) is int for row in matrix.to_rows() for e in row)
+        grams.append((matrix.rows, matrix.cols))
+        return upper_twos_gram(matrix)
+
+    monkeypatch.setattr(partitions, "qt_path_matrix", forbidden)
+    monkeypatch.setattr(partitions, "lattice_path_gf", forbidden)
+    monkeypatch.setattr(partitions, "upper_twos_gram", int_gram)
+    assert qt_gf_determinant(m, shape) == want
+    # Once on the norms, for the width, and once on the packed matrix.
+    assert grams == [(4, 8), (4, 8)]
 
 
 def test_symmetric_volume_is_qt_specialization():

@@ -380,6 +380,36 @@ def test_multiply_accumulate_width_counts_the_pairs_of_a_target():
     _assert_batch_matches_oracle([[(1, a, a)], [(-1, a, a), (-1, a, a), (-1, a, a)]], packs=True)
 
 
+def _layout_spy(monkeypatch):
+    """Record the (stride, width) of every kernel unpack."""
+    layouts = []
+    real = ring.kronecker_unpack
+    monkeypatch.setattr(ring, "kronecker_unpack", lambda v, s, w: layouts.append((s, w)) or real(v, s, w))
+    return layouts
+
+
+def test_multiply_accumulate_width_is_a_per_target_sum(monkeypatch):
+    # One coefficient of 151 among 63 ones: a * a has 6 * 151^2 = 136,806 at
+    # q^0, which needs 3-byte slots.  The per-target bound is 6 * 151 *
+    # L1(a) = 193,884 (3 bytes); the old batch-wide rule, 151^2 * 64 terms *
+    # 6 pairs = 8,755,584, asked for 4; one product's bound alone, 32,314,
+    # fits 2 bytes, too few for the sum.
+    a = 151 + QtPolynomial({(i, 0): 1 for i in range(1, 64)})
+    layouts = _layout_spy(monkeypatch)
+    _assert_batch_matches_oracle([[(1, a, a)] * 6], packs=True)
+    assert layouts and set(layouts) == {(1, 3)}
+
+
+def test_multiply_accumulate_stride_follows_the_live_pairs(monkeypatch):
+    # The largest left and right t-degrees (3 each) never meet in one
+    # product, so the stride is 3 + 0 + 1, not 3 + 3 + 1; a stride of 3
+    # would carry a * b's t^3 terms into the next power of q.
+    a, b = qint(12) * (1 + t**3), qint(12) * 5
+    layouts = _layout_spy(monkeypatch)
+    _assert_batch_matches_oracle([[(1, a, b), (-1, b, b)], [(1, b, b), (1, b, a)]], packs=True)
+    assert layouts and {stride for stride, _ in layouts} == {4}
+
+
 def test_multiply_accumulate_stride_fits_both_t_degrees():
     a = qint(12) * (1 + t + t**2)
     b = qint(12) * (1 - t**3) * 7

@@ -40,9 +40,10 @@ sum over perfect matchings (``one_factors``, ``crossing_number``), shares
 no code with it and is kept only as its oracle.
 
 ``upper_twos_gram`` forms Z U Z^T, the matrix of the squared minor-sum
-identity, by running sums and dot products without forming U; polynomial
-entries make one kernel call for all of it, and packed ones are summed on
-ints.  The Okada-Stembridge Pfaffian
+identity, by running sums and dot products without forming U.  Polynomial
+entries make one kernel call for all of it.  Numeric entries, packed ones
+included, take each entry as ``sum(map(operator.mul, ...))`` of two rows,
+so no per-product tuple is built.  The Okada-Stembridge Pfaffian
 Pf[Z E Z^T] of ``sum_max_minors_pfaffian`` is read off the same Gram matrix:
 E = skew_ones(n) = U - J with J the all-ones matrix, so
 Z E Z^T = Z U Z^T - s s^T, where s holds the row sums of Z.  An odd row
@@ -258,8 +259,9 @@ def upper_twos_gram(z: ExactMatrix) -> ExactMatrix:
 
     Row a of Z U is a running sum, (Z U)[a][l] = Z[a][l] + 2 * sum_{j<l}
     Z[a][j] = (Z U)[a][l-1] + Z[a][l-1] + Z[a][l], and each entry of the
-    result is one dot product of a row of Z U with a row of Z.  Polynomial
-    entries make one ring.multiply_accumulate call for all of them.
+    result is one dot product of a row of Z U with a row of Z.  Numeric
+    entries take each dot product as one sum of a map; polynomial entries
+    make one ring.multiply_accumulate call for all of them.
     """
     rows = z.to_rows()
     zu = []
@@ -269,8 +271,10 @@ def upper_twos_gram(z: ExactMatrix) -> ExactMatrix:
             acc = acc + prev + x
             out.append(acc)
         zu.append(out)
+    if _is_numeric(z._entries):
+        return ExactMatrix(z.rows, z.rows, [sum(map(operator.mul, left, right)) for left in zu for right in rows])
     targets = [[(1, x, y) for x, y in zip(left, right)] for left in zu for right in rows]
-    return ExactMatrix(z.rows, z.rows, _sums_of_products(z._entries)(targets))
+    return ExactMatrix(z.rows, z.rows, multiply_accumulate(targets))
 
 
 def _require_skew(matrix: ExactMatrix) -> None:

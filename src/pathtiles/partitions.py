@@ -8,10 +8,13 @@ q^(sum of off-diagonal entries) * t^(sum of diagonal entries); its square
 has a determinant formula through the weighted-lattice path matrix, whose
 entries are products of a power of t with a Gaussian binomial.  The volume
 GFs specialize it to (q, t) -> (q, q) and (q^2, q), which is Kronecker
-packing at stride 1 and 2.  Both determinant routes pack that matrix at
-(q, t) = (X^s, X) straight from the cached Gaussian binomials (its
-polynomial form ``qt_path_matrix`` is their oracle): ``volume_gf`` takes
-the whole determinant on ints, ``qt_gf_determinant`` only Z U Z^T.
+packing at stride 1 and 2.  Both determinant routes build that matrix at
+(q, t) = (X^s, X) as ints, with no term maps: the Gaussian binomials at
+q = X^s come from the q-Pascal rule, one shift and one add per entry, and
+each entry is shifted up by its power of t.  Its polynomial form
+``qt_path_matrix`` is their oracle.  ``volume_gf`` takes the whole
+determinant on ints, ``qt_gf_determinant`` only Z U Z^T.  The packed size
+grows like s * m^2, so it is charged to the budget before anything is built.
 
 Every enumeration runs on one filling engine: an explicit-stack odometer
 over the cells of a diagram, each bounded by its west and north neighbours,
@@ -22,6 +25,7 @@ mirror image, so no asymmetric filling is visited.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -35,7 +39,7 @@ from .lozenge import (
     mirrored_tiling_gf_formula,
     validate_strict_partition,
 )
-from .ring import QtPolynomial, kronecker_pack, qbinomial, slot_width
+from .ring import QtPolynomial, qbinomial, slot_width
 
 
 @dataclass(frozen=True)
@@ -257,47 +261,96 @@ def qt_path_matrix(m: int, shape) -> ExactMatrix:
     return ExactMatrix.from_rows(rows)
 
 
-def _packed_path_matrix(m: int, shape: tuple[int, ...], stride: int, bound):
-    """Z at (q, t) = (X^stride, X) from the cached q-binomials, for a
-    validated shape and m.  Entry (i, j) is t^u * qbinomial(p_i - 1 + u, u)
-    with u = m + i - j (0 for u < 0), so it packs as that q-binomial shifted
-    up u slots, with L1 norm C(p_i - 1 + u, u).  X = 2^(8 * width) for
-    width = slot_width(bound(the Gram matrix of the norms)).  Rows come
-    lowest top degree (m + i - 1) * (stride * (p_i - 1) + 1) first:
-    det[Z U Z^T] ignores row order, and its DP multiplies each row into
-    every minor of the rows before it.  Returns (order, norms, packed,
-    width), row r holding Z's row order[r].
+def _path_cells(m: int, shape: tuple[int, ...], stride: int):
+    """Row order and cells (p_i - 1, u) of Z at stride `stride`, row by row
+    in that order; u = m + i - j, and a cell with u < 0 is a zero entry.
+    Rows come lowest top degree (m + i - 1) * (stride * (p_i - 1) + 1)
+    first: det[Z U Z^T] ignores row order, and its DP multiplies each row
+    into every minor of the rows before it.
     """
     k, cols = len(shape), m + len(shape)
     order = sorted(range(k), key=lambda i: (m + i) * (stride * (shape[i] - 1) + 1))
-    cells = [(shape[i] - 1, u) for i in order for u in range(m + i, m + i - cols, -1)]
+    return order, [(shape[i] - 1, u) for i in order for u in range(m + i, m + i - cols, -1)]
+
+
+def _packed_path_matrix(m: int, shape: tuple[int, ...], stride: int, bound, budget: Budget | None = None):
+    """Z at (q, t) = (X^stride, X) for a validated shape and m, by the
+    q-Pascal rule on ints.  Entry (i, j) is t^u * qbinomial(p_i - 1 + u, u)
+    with u = m + i - j (0 for u < 0), so it packs as that q-binomial
+    shifted up u slots, with L1 norm C(p_i - 1 + u, u).  X = 2^(8 * width)
+    for width = slot_width(bound(the Gram matrix of the norms)).
+
+    With Y = X^stride, B[u][x] = qbinomial(x + u, u) at q = Y has
+    B[u][0] = B[0][x] = 1 and B[u][x] = B[u-1][x] + Y^u * B[u][x-1], so one
+    column over u is advanced along x by a shift and an add per entry, and
+    row i reads it at x = p_i - 1.  Rows are read smallest part first, and
+    row i reads only u <= m + i, so the column is cut to that length before
+    each read.  Every packed slot is charged to the budget first, since Z's
+    size grows like stride * m^2.  Returns (order, norms, packed, width),
+    row r holding Z's row order[r].
+    """
+    k, cols = len(shape), m + len(shape)
+    order, cells = _path_cells(m, shape, stride)
+    (budget if budget is not None else Budget()).spend(sum(u * (stride * a + 1) + 1 for a, u in cells if u >= 0))
     norms = ExactMatrix(k, cols, [comb(a + u, u) if u >= 0 else 0 for a, u in cells])
     width = slot_width(bound(upper_twos_gram(norms)))
-    packed = [
-        kronecker_pack(qbinomial(a + u, u).terms(), stride, width) << (8 * width * u) if u >= 0 else 0
-        for a, u in cells
-    ]
+    slot, step = 8 * width, 8 * width * stride
+    column, x, shifted = [1] * cols, 0, {}
+    for i in reversed(range(k)):  # smallest part first
+        while x < shape[i] - 1:
+            x += 1
+            for u in range(1, len(column)):
+                column[u] = column[u - 1] + (column[u] << step * u)
+        del column[m + i + 1 :]
+        shifted[x] = [c << slot * u for u, c in enumerate(column)]
+    packed = [shifted[a][u] if u >= 0 else 0 for a, u in cells]
     return order, norms, ExactMatrix(k, cols, packed), width
 
 
-def qt_gf_determinant(m: int, shape) -> QtPolynomial:
+def _gram_coefficient_bound(cells, k: int) -> int:
+    """The largest coefficient any entry of Z U Z^T can have, for the cells
+    of Z's k rows.
+
+    A coefficient of a * b is at most min(max|a| * L1(b), L1(a) * max|b|),
+    and Gram entry (a, b) sums that over l for ZU[a][l] * Z[b][l].  A
+    Gaussian binomial's largest coefficient is its middle one.  The entries
+    of a row carry distinct powers of t, so ZU[a][l] = Z[a][l] + 2 *
+    sum_{j<l} Z[a][j] has L1 norm L1(Z[a][l]) + 2 * sum_{j<l} L1(Z[a][j]) and
+    largest coefficient max(max Z[a][l], 2 * max_{j<l} max Z[a][j]).
+    """
+    norm = [comb(a + u, u) if u >= 0 else 0 for a, u in cells]
+    big = [qbinomial(a + u, u).coefficient(a * u // 2, 0) for a, u in cells]
+    cols = len(cells) // k if k else 0
+    rows = [(norm[r * cols : (r + 1) * cols], big[r * cols : (r + 1) * cols]) for r in range(k)]
+    bound = 0
+    for l1, top in rows:
+        zu_l1 = [2 * s - v for s, v in zip(accumulate(l1), l1)]
+        zu_top = [max(v, 2 * p) for v, p in zip(top, accumulate(top, max, initial=0))]
+        for b_l1, b_top in rows:
+            bound = max(bound, sum(map(min, map(operator.mul, zu_top, b_l1), map(operator.mul, zu_l1, b_top))))
+    return bound
+
+
+def qt_gf_determinant(m: int, shape, budget: Budget | None = None) -> QtPolynomial:
     """det[M(q,t) U M(q,t)^T]: the square of the (q,t)-generating function.
 
     Z U Z^T is formed on Z packed at stride 2(m + k) - 1, above its top
-    t-degree 2(m + k - 1).  Its coefficients are nonnegative, so the norms'
-    Gram matrix bounds them.  Its k^2 entries are unpacked once, and the
-    determinant runs on the kernel.
+    t-degree 2(m + k - 1), in slots sized by ``_gram_coefficient_bound``.
+    Its k^2 entries are unpacked once, and the determinant runs on the
+    kernel.
     """
     shape = validate_strict_partition(shape)
     _check_bound(m)
     stride = 2 * (m + len(shape)) - 1
-    *_, packed, width = _packed_path_matrix(m, shape, stride, lambda g: max(map(max, g.to_rows()), default=0))
+    _, cells = _path_cells(m, shape, stride)
+    bound = lambda gram: _gram_coefficient_bound(cells, len(shape))
+    *_, packed, width = _packed_path_matrix(m, shape, stride, bound, budget)
     gram = upper_twos_gram(packed)
     entries = [QtPolynomial.from_packed(v, stride, width) for row in gram.to_rows() for v in row]
     return QtPolynomial.from_scalar(determinant(ExactMatrix(gram.rows, gram.cols, entries)))
 
 
-def volume_gf(m: int, shape, which: str) -> QtPolynomial:
+def volume_gf(m: int, shape, which: str, budget: Budget | None = None) -> QtPolynomial:
     """Squared volume GF via the specialized determinant det[Z U Z^T].
 
     which = "spp" specializes (q, t) -> (q, q) and equals the squared volume
@@ -315,7 +368,7 @@ def volume_gf(m: int, shape, which: str) -> QtPolynomial:
         raise ValueError("which must be 'spp' or 'pp_sym'")
     shape = validate_strict_partition(shape)
     _check_bound(m)
-    *_, packed, width = _packed_path_matrix(m, shape, stride, permanent)
+    *_, packed, width = _packed_path_matrix(m, shape, stride, permanent, budget)
     value = division_free_determinant(upper_twos_gram(packed))
     return QtPolynomial.from_packed(value, 1, width)
 

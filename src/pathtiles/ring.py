@@ -21,8 +21,9 @@ sparse batches, and batches with too few term pairs per target, use the
 schoolbook dict loop.  The byte-slot packer ``kronecker_pack``,
 ``slot_width`` and the single unpacker ``kronecker_unpack``, which reads a
 packed value up to its top nonzero slot into a term map, are public because
-whole formulas are evaluated the same way: ``partitions`` packs every
-path-matrix entry once and reads results with ``QtPolynomial.from_packed``.
+whole formulas are evaluated the same way: ``partitions`` builds its path
+matrices as packed ints in this layout, with ``kronecker_pack`` as their
+reference, and reads results with ``QtPolynomial.from_packed``.
 Everything is immutable after construction, so values can be shared freely.
 """
 
@@ -52,9 +53,9 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 # Term count from which kronecker_pack writes machine words rather than
 # converting each coefficient to bytes.  Measured on CPython 3.11, x86-64,
 # at slot widths 2-6 bytes: the two break even between 6 and 12 terms, and
-# words are about 2x faster at 48 terms.  The volume GFs pack hundreds of
-# entries of 0-12 terms per call, and packing all of them as words made
-# their benchmark ops slower; CHANGES.md has the runs.
+# words are about 2x faster at 48 terms.  The kernel packs operands of every
+# size, down to a few terms, so short ones keep the per-term route;
+# CHANGES.md has the runs.
 _WORD_PACK_MIN_TERMS = 12
 
 # Scalar = int | Fraction | QtPolynomial; kept loose on purpose so plain

@@ -106,6 +106,18 @@ def test_readme_symmetric_example_stops_at_the_budget():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("mode", ["qt", "q-spp", "q-sym"])
+def test_spp_gf_determinant_stops_at_the_budget_before_packing(mode):
+    # The packed path matrix charges its slots before it is built: about
+    # 67k for the (q,t) stride at m = 40, and 1.7k and 3.3k for the volume GFs.
+    args = ["spp", "gf", "--m", "40", "--shape", "2", "--mode", mode, "--method", "det"]
+    proc = _run_module(args, TILING_REFLECT_BUDGET="1000")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "budget of 1000 states" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_spp_gf_subcommand_alias(capsys):
     assert main(["spp", "gf", "--m", "1", "--shape", "1", "--mode", "qt", "--method", "enum"]) == 0
     assert capsys.readouterr().out.strip() == "1 + t"

@@ -205,7 +205,7 @@ def test_volume_gf_edge_cases(monkeypatch):
     def no_work(*args):
         raise AssertionError("a determinant route did work before validating its input")
 
-    work = ("_packed_path_matrix", "upper_twos_gram", "permanent", "kronecker_pack", "determinant", "division_free_determinant")
+    work = ("_path_cells", "_packed_path_matrix", "upper_twos_gram", "permanent", "qbinomial", "determinant", "division_free_determinant")
     for name in work:
         monkeypatch.setattr(partitions, name, no_work)
     with pytest.raises(ValueError, match="which must be"):
@@ -269,6 +269,86 @@ def test_packed_path_matrix_unpacks_to_the_path_matrix(stride):
                 else:
                     want = substitute(entry, q**s, q).terms()
                     assert ring.kronecker_unpack(packed.entry(r, j), 1, width) == want, (m, shape, i, j)
+
+
+@pytest.mark.parametrize(
+    "m, shape, strides",
+    [(8, (12, 10, 8, 5, 3, 1), (1, 2, 27)), (1100, (2,), (1, 2))],
+)
+def test_packed_path_matrix_equals_the_packed_qbinomials(m, shape, strides):
+    # The q-Pascal column gives, int for int, each cell's q-binomial packed
+    # term by term and shifted up u slots; 27 is the (q,t) stride 2(m+k)-1.
+    for stride in strides:
+        _, cells = partitions._path_cells(m, shape, stride)
+        order, norms, packed, w = partitions._packed_path_matrix(m, shape, stride, linalg.permanent)
+        want = [
+            ring.kronecker_pack(qbinomial(a + u, u).terms(), stride, w) << (8 * w * u) if u >= 0 else 0
+            for a, u in cells
+        ]
+        assert len(cells) == len(shape) * (m + len(shape))
+        assert packed.to_rows() == [want[r : r + packed.cols] for r in range(0, len(want), packed.cols)], stride
+
+
+def test_volume_gf_packs_without_term_maps(monkeypatch):
+    want = {which: volume_gf(4, (6, 4, 3, 1), which) for which in ("spp", "pp_sym")}
+
+    def forbidden(*args):
+        raise AssertionError("volume_gf packed a q-binomial term by term")
+
+    monkeypatch.setattr(partitions, "qbinomial", forbidden)
+    monkeypatch.setattr(ring, "qbinomial", forbidden)
+    monkeypatch.setattr(ring, "kronecker_pack", forbidden)
+    for which, gf in want.items():
+        assert volume_gf(4, (6, 4, 3, 1), which) == gf
+
+
+def test_packed_path_matrix_charges_its_slots_to_the_budget():
+    # The charge is the number of slots the packed entries occupy, read
+    # back from their bit lengths; one state less runs out.
+    for m, shape in [(3, (4, 2, 1)), (5, (6, 3)), (2, ())]:
+        for stride in (1, 2, 2 * (m + len(shape)) - 1):
+            budget = Budget(10**9)
+            *_, packed, w = partitions._packed_path_matrix(m, shape, stride, linalg.permanent, budget)
+            slots = sum(v.bit_length() // (8 * w) + 1 for row in packed.to_rows() for v in row if v)
+            assert budget.limit - budget.remaining == slots, (m, shape, stride)
+            if slots:
+                with pytest.raises(BudgetExceeded):
+                    partitions._packed_path_matrix(m, shape, stride, linalg.permanent, Budget(slots - 1))
+
+
+def test_determinant_routes_stop_at_the_budget(monkeypatch):
+    monkeypatch.setenv("TILING_REFLECT_BUDGET", "1000")
+    for call in (
+        lambda: qt_gf_determinant(40, (2,)),
+        lambda: volume_gf(40, (2,), "spp"),
+        lambda: volume_gf(40, (2,), "pp_sym"),
+    ):
+        with pytest.raises(BudgetExceeded, match="budget of 1000 states"):
+            call()
+    assert qt_gf_determinant(2, (2,), Budget(10**9)) == qt_gf_determinant(2, (2,))
+
+
+@pytest.mark.parametrize(
+    "m, shape, width",
+    [(6, (9, 7, 6, 3, 2), 3), (8, (12, 10, 8, 5, 3, 1), 4), (4, (8, 2, 1), 2), (4, (6, 3, 1), 2)],
+)
+def test_qt_gram_slots_fit_its_largest_coefficient(monkeypatch, m, shape, width):
+    # The README sizes and two pool shapes: the per-entry bound sizes the
+    # Gram slots for its largest coefficient with no byte to spare.  The
+    # determinant itself is skipped.
+    widths, grams = [], []
+    pack = partitions._packed_path_matrix
+
+    def recorded(*args):
+        out = pack(*args)
+        widths.append(out[-1])
+        return out
+
+    monkeypatch.setattr(partitions, "_packed_path_matrix", recorded)
+    monkeypatch.setattr(partitions, "determinant", lambda gram: grams.append(gram) or 1)
+    qt_gf_determinant(m, shape)
+    largest = max(c for e in grams[0].to_rows() for x in e for c in x.terms().values())
+    assert widths == [width] == [ring.slot_width(largest)]
 
 
 def test_qt_gf_determinant_forms_its_gram_matrix_on_ints(monkeypatch):

@@ -280,7 +280,7 @@ def test_packed_path_matrix_equals_the_packed_qbinomials(m, shape, strides):
     # term by term and shifted up u slots; 27 is the (q,t) stride 2(m+k)-1.
     for stride in strides:
         _, cells = partitions._path_cells(m, shape, stride)
-        order, norms, packed, w = partitions._packed_path_matrix(m, shape, stride, linalg.permanent)
+        *_, packed, w = partitions._packed_path_matrix(m, shape, stride, linalg.permanent)
         want = [
             ring.kronecker_pack(qbinomial(a + u, u).terms(), stride, w) << (8 * w * u) if u >= 0 else 0
             for a, u in cells

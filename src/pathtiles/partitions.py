@@ -273,12 +273,13 @@ def _path_cells(m: int, shape: tuple[int, ...], stride: int):
     return order, [(shape[i] - 1, u) for i in order for u in range(m + i, m + i - cols, -1)]
 
 
-def _packed_path_matrix(m: int, shape: tuple[int, ...], stride: int, bound, budget: Budget | None = None):
+def _packed_path_matrix(m: int, shape: tuple[int, ...], stride: int, bound):
     """Z at (q, t) = (X^stride, X) for a validated shape and m, by the
     q-Pascal rule on ints.  Entry (i, j) is t^u * qbinomial(p_i - 1 + u, u)
     with u = m + i - j (0 for u < 0), so it packs as that q-binomial
     shifted up u slots, with L1 norm C(p_i - 1 + u, u).  X = 2^(8 * width)
-    for width = slot_width(bound(the Gram matrix of the norms)).
+    for width = slot_width(bound(norms, cells)), the norms and cells of Z
+    in its row order (see ``_path_cells``).
 
     With Y = X^stride, B[u][x] = qbinomial(x + u, u) at q = Y has
     B[u][0] = B[0][x] = 1 and B[u][x] = B[u-1][x] + Y^u * B[u][x-1], so one
@@ -291,9 +292,9 @@ def _packed_path_matrix(m: int, shape: tuple[int, ...], stride: int, bound, budg
     """
     k, cols = len(shape), m + len(shape)
     order, cells = _path_cells(m, shape, stride)
-    (budget if budget is not None else Budget()).spend(sum(u * (stride * a + 1) + 1 for a, u in cells if u >= 0))
+    Budget().spend(sum(u * (stride * a + 1) + 1 for a, u in cells if u >= 0))
     norms = ExactMatrix(k, cols, [comb(a + u, u) if u >= 0 else 0 for a, u in cells])
-    width = slot_width(bound(upper_twos_gram(norms)))
+    width = slot_width(bound(norms, cells))
     slot, step = 8 * width, 8 * width * stride
     column, x, shifted = [1] * cols, 0, {}
     for i in reversed(range(k)):  # smallest part first
@@ -307,9 +308,9 @@ def _packed_path_matrix(m: int, shape: tuple[int, ...], stride: int, bound, budg
     return order, norms, ExactMatrix(k, cols, packed), width
 
 
-def _gram_coefficient_bound(cells, k: int) -> int:
-    """The largest coefficient any entry of Z U Z^T can have, for the cells
-    of Z's k rows.
+def _gram_coefficient_bound(norms: ExactMatrix, cells) -> int:
+    """The largest coefficient any entry of Z U Z^T can have, for Z's L1
+    norms and cells in one row order.
 
     A coefficient of a * b is at most min(max|a| * L1(b), L1(a) * max|b|),
     and Gram entry (a, b) sums that over l for ZU[a][l] * Z[b][l].  A
@@ -318,10 +319,9 @@ def _gram_coefficient_bound(cells, k: int) -> int:
     sum_{j<l} Z[a][j] has L1 norm L1(Z[a][l]) + 2 * sum_{j<l} L1(Z[a][j]) and
     largest coefficient max(max Z[a][l], 2 * max_{j<l} max Z[a][j]).
     """
-    norm = [comb(a + u, u) if u >= 0 else 0 for a, u in cells]
     big = [qbinomial(a + u, u).coefficient(a * u // 2, 0) for a, u in cells]
-    cols = len(cells) // k if k else 0
-    rows = [(norm[r * cols : (r + 1) * cols], big[r * cols : (r + 1) * cols]) for r in range(k)]
+    cols = norms.cols
+    rows = [(norms.row(r), big[r * cols : (r + 1) * cols]) for r in range(norms.rows)]
     bound = 0
     for l1, top in rows:
         zu_l1 = [2 * s - v for s, v in zip(accumulate(l1), l1)]
@@ -331,7 +331,7 @@ def _gram_coefficient_bound(cells, k: int) -> int:
     return bound
 
 
-def qt_gf_determinant(m: int, shape, budget: Budget | None = None) -> QtPolynomial:
+def qt_gf_determinant(m: int, shape) -> QtPolynomial:
     """det[M(q,t) U M(q,t)^T]: the square of the (q,t)-generating function.
 
     Z U Z^T is formed on Z packed at stride 2(m + k) - 1, above its top
@@ -342,15 +342,13 @@ def qt_gf_determinant(m: int, shape, budget: Budget | None = None) -> QtPolynomi
     shape = validate_strict_partition(shape)
     _check_bound(m)
     stride = 2 * (m + len(shape)) - 1
-    _, cells = _path_cells(m, shape, stride)
-    bound = lambda gram: _gram_coefficient_bound(cells, len(shape))
-    *_, packed, width = _packed_path_matrix(m, shape, stride, bound, budget)
+    *_, packed, width = _packed_path_matrix(m, shape, stride, _gram_coefficient_bound)
     gram = upper_twos_gram(packed)
     entries = [QtPolynomial.from_packed(v, stride, width) for row in gram.to_rows() for v in row]
     return QtPolynomial.from_scalar(determinant(ExactMatrix(gram.rows, gram.cols, entries)))
 
 
-def volume_gf(m: int, shape, which: str, budget: Budget | None = None) -> QtPolynomial:
+def volume_gf(m: int, shape, which: str) -> QtPolynomial:
     """Squared volume GF via the specialized determinant det[Z U Z^T].
 
     which = "spp" specializes (q, t) -> (q, q) and equals the squared volume
@@ -368,7 +366,8 @@ def volume_gf(m: int, shape, which: str, budget: Budget | None = None) -> QtPoly
         raise ValueError("which must be 'spp' or 'pp_sym'")
     shape = validate_strict_partition(shape)
     _check_bound(m)
-    *_, packed, width = _packed_path_matrix(m, shape, stride, permanent, budget)
+    bound = lambda norms, cells: permanent(upper_twos_gram(norms))
+    *_, packed, width = _packed_path_matrix(m, shape, stride, bound)
     value = division_free_determinant(upper_twos_gram(packed))
     return QtPolynomial.from_packed(value, 1, width)
 

@@ -254,10 +254,11 @@ def test_packed_path_matrix_unpacks_to_the_path_matrix(stride):
         z = qt_path_matrix(m, shape)
         s = 2 * (m + len(shape)) - 1 if stride == "qt" else stride
         largest = max((c for e in z.to_rows() for x in e for c in x.terms().values()), default=0)
-        grams = []
-        order, norms, packed, width = partitions._packed_path_matrix(m, shape, s, lambda g: grams.append(g) or largest)
+        seen = []
+        bound = lambda norms, cells: seen.append((norms, cells)) or largest
+        order, norms, packed, width = partitions._packed_path_matrix(m, shape, s, bound)
         assert width == ring.slot_width(largest)
-        assert grams == [upper_twos_gram(norms)]
+        assert seen == [(norms, partitions._path_cells(m, shape, s)[1])]
         assert sorted(order) == list(range(z.rows)) and (norms.rows, norms.cols) == (z.rows, z.cols)
         tops = [max((s * eq + et for e in z.row(i) for eq, et in e.terms()), default=0) for i in range(z.rows)]
         assert [tops[i] for i in order] == sorted(tops), (m, shape)
@@ -271,6 +272,11 @@ def test_packed_path_matrix_unpacks_to_the_path_matrix(stride):
                     assert ring.kronecker_unpack(packed.entry(r, j), 1, width) == want, (m, shape, i, j)
 
 
+def _volume_bound(norms, cells):
+    # volume_gf's bound: the permanent of the norms' Gram matrix.
+    return linalg.permanent(upper_twos_gram(norms))
+
+
 @pytest.mark.parametrize(
     "m, shape, strides",
     [(8, (12, 10, 8, 5, 3, 1), (1, 2, 27)), (1100, (2,), (1, 2))],
@@ -280,7 +286,7 @@ def test_packed_path_matrix_equals_the_packed_qbinomials(m, shape, strides):
     # term by term and shifted up u slots; 27 is the (q,t) stride 2(m+k)-1.
     for stride in strides:
         _, cells = partitions._path_cells(m, shape, stride)
-        *_, packed, w = partitions._packed_path_matrix(m, shape, stride, linalg.permanent)
+        *_, packed, w = partitions._packed_path_matrix(m, shape, stride, _volume_bound)
         want = [
             ring.kronecker_pack(qbinomial(a + u, u).terms(), stride, w) << (8 * w * u) if u >= 0 else 0
             for a, u in cells
@@ -302,18 +308,22 @@ def test_volume_gf_packs_without_term_maps(monkeypatch):
         assert volume_gf(4, (6, 4, 3, 1), which) == gf
 
 
-def test_packed_path_matrix_charges_its_slots_to_the_budget():
+def test_packed_path_matrix_charges_its_slots_to_the_budget(monkeypatch):
     # The charge is the number of slots the packed entries occupy, read
-    # back from their bit lengths; one state less runs out.
+    # back from their bit lengths: a budget of exactly that many runs, one
+    # state less runs out.
+    bound = _volume_bound
     for m, shape in [(3, (4, 2, 1)), (5, (6, 3)), (2, ())]:
         for stride in (1, 2, 2 * (m + len(shape)) - 1):
-            budget = Budget(10**9)
-            *_, packed, w = partitions._packed_path_matrix(m, shape, stride, linalg.permanent, budget)
+            monkeypatch.delenv("TILING_REFLECT_BUDGET", raising=False)
+            *_, packed, w = partitions._packed_path_matrix(m, shape, stride, bound)
             slots = sum(v.bit_length() // (8 * w) + 1 for row in packed.to_rows() for v in row if v)
-            assert budget.limit - budget.remaining == slots, (m, shape, stride)
+            monkeypatch.setenv("TILING_REFLECT_BUDGET", str(slots))
+            assert partitions._packed_path_matrix(m, shape, stride, bound)[2] == packed, (m, shape, stride)
             if slots:
-                with pytest.raises(BudgetExceeded):
-                    partitions._packed_path_matrix(m, shape, stride, linalg.permanent, Budget(slots - 1))
+                monkeypatch.setenv("TILING_REFLECT_BUDGET", str(slots - 1))
+                with pytest.raises(BudgetExceeded, match=f"budget of {slots - 1} states"):
+                    partitions._packed_path_matrix(m, shape, stride, bound)
 
 
 def test_determinant_routes_stop_at_the_budget(monkeypatch):
@@ -325,7 +335,6 @@ def test_determinant_routes_stop_at_the_budget(monkeypatch):
     ):
         with pytest.raises(BudgetExceeded, match="budget of 1000 states"):
             call()
-    assert qt_gf_determinant(2, (2,), Budget(10**9)) == qt_gf_determinant(2, (2,))
 
 
 @pytest.mark.parametrize(
@@ -368,8 +377,9 @@ def test_qt_gf_determinant_forms_its_gram_matrix_on_ints(monkeypatch):
     monkeypatch.setattr(partitions, "lattice_path_gf", forbidden)
     monkeypatch.setattr(partitions, "upper_twos_gram", int_gram)
     assert qt_gf_determinant(m, shape) == want
-    # Once on the norms, for the width, and once on the packed matrix.
-    assert grams == [(4, 8), (4, 8)]
+    # Only on the packed matrix: the slot width comes from per-entry
+    # bounds, not from the norms' Gram matrix.
+    assert grams == [(4, 8)]
 
 
 def test_symmetric_volume_is_qt_specialization():

@@ -4,8 +4,12 @@ vertex-disjoint path-family enumeration oracle.
 Graphs are finite, multi-edges are allowed, and edge weights live in any
 commutative ring (int, Fraction, QtPolynomial).  A family of paths is
 nonintersecting when the paths are pairwise vertex-disjoint; a length-zero
-path sitting at a vertex blocks that vertex.  The oracle walks every path of
-a family on one explicit stack and does not recurse.
+path sitting at a vertex blocks that vertex.  One walker, ``_families``,
+is the module's only path search: it walks every path of a family on one
+explicit stack, does not recurse, and spends one budget state per vertex it
+steps to.  The family oracle sums the weights of the families it yields,
+path-set listing reads the one-path families, and the compatibility check
+makes one walk per start pair and stops at the first family.
 """
 
 from __future__ import annotations
@@ -163,29 +167,14 @@ def path_matrix(graph: WeightedDag, spec: EndpointSpec) -> ExactMatrix:
 
 
 def iter_path_vertex_sets(graph: WeightedDag, a, b, budget: Budget):
-    """Yield (vertex frozenset, weight) for every directed path a -> b."""
+    """Yield (vertex frozenset, weight) for every directed path a -> b.
+
+    A query on the family walker: the one-path families from a to the end b.
+    """
     if a not in graph or b not in graph:
         raise ValueError("unknown vertex")
-
-    # A path's vertices on an explicit stack, in the order of a recursive
-    # walk: per vertex, (weight, vertex, untried out-edges).  The bottom entry
-    # only holds the edge into a.
-    seen: set = set()
-    stack = [(1, None, iter(((a, 1),)))]
-    while stack:
-        weight, _, edges = stack[-1]
-        for y, w in edges:
-            if y not in seen:
-                break
-        else:
-            seen.discard(stack.pop()[1])
-            continue
-        budget.spend()
-        if y == b:  # a DAG path cannot leave b and come back
-            yield frozenset(seen) | {y}, weight * w
-        else:
-            seen.add(y)
-            stack.append((weight * w, y, iter(graph.out_edges(y))))
+    for weight, seen in _families(graph, (a,), {b: 0}.get, budget):
+        yield frozenset(seen), weight
 
 
 def permutation_sign(perm) -> int:
@@ -193,6 +182,42 @@ def permutation_sign(perm) -> int:
         1 for i, j in itertools.combinations(range(len(perm)), 2) if perm[i] > perm[j]
     )
     return -1 if inversions % 2 else 1
+
+
+def _families(graph: WeightedDag, starts, end_of, budget: Budget):
+    """Yield (weight, live vertex set) for every family of disjoint paths.
+
+    The k-th path runs from starts[k] to a vertex v with end index
+    end_of(v) above that of path k - 1.  The set is the walker's own and
+    changes once the generator resumes.  Starts must not be empty.
+    """
+    # Stack entries: (family weight, vertex, untried out-edges, path number,
+    # least admissible end index); a path's bottom entry only holds the edge
+    # into its start, and seen holds every vertex on the stack.  An admissible
+    # end yields the family or starts the next path, then the walk goes on.
+    bottom = object()  # the vertex of a bottom entry: no graph vertex, not even None
+    spend, out_edges = budget.spend, graph.out_edges
+    m = len(starts)
+    seen: set = set()
+    stack = [(1, bottom, iter(((starts[0], 1),)), 0, 0)]
+    while stack:
+        weight, _, edges, k, min_j = stack[-1]
+        for y, w in edges:
+            if y not in seen:
+                break
+        else:
+            seen.discard(stack.pop()[1])
+            continue
+        spend()
+        seen.add(y)
+        weight = weight * w
+        stack.append((weight, y, iter(out_edges(y)), k, min_j))
+        j = end_of(y)
+        if j is not None and j >= min_j:
+            if k + 1 == m:
+                yield weight, seen
+            else:  # the bottom entry skips a start already taken, without spending
+                stack.append((weight, bottom, iter(((starts[k + 1], 1),)), k + 1, j + 1))
 
 
 def nonintersecting_gf(graph: WeightedDag, spec: EndpointSpec, perm=None, budget: Budget | None = None):
@@ -212,37 +237,9 @@ def nonintersecting_gf(graph: WeightedDag, spec: EndpointSpec, perm=None, budget
         budget = Budget()
     if m == 0:
         return 1
-
-    # Stack entries: (family weight, vertex, untried out-edges, path number,
-    # least admissible end index); a path's bottom entry only holds the edge
-    # into its start, and seen holds every vertex on the stack.  An admissible
-    # end counts the family or starts the next path, then the walk goes on.
-    bottom = object()  # the vertex of a bottom entry: no graph vertex, not even None
     starts = [spec.starts[i] for i in perm]
-    spend, out_edges = budget.spend, graph.out_edges
     end_of = {v: j for j, v in enumerate(spec.ends)}.get
-    total = 0
-    seen: set = set()
-    stack = [(1, bottom, iter(((starts[0], 1),)), 0, 0)]
-    while stack:
-        weight, _, edges, k, min_j = stack[-1]
-        for y, w in edges:
-            if y not in seen:
-                break
-        else:
-            seen.discard(stack.pop()[1])
-            continue
-        spend()
-        seen.add(y)
-        weight = weight * w
-        stack.append((weight, y, iter(out_edges(y)), k, min_j))
-        j = end_of(y)
-        if j is not None and j >= min_j:
-            if k + 1 == m:
-                total = total + weight
-            else:  # the bottom entry skips a start already taken, without spending
-                stack.append((weight, bottom, iter(((starts[k + 1], 1),)), k + 1, j + 1))
-    return total
+    return sum(weight for weight, _ in _families(graph, starts, end_of, budget))
 
 
 def signed_path_sum(graph: WeightedDag, spec: EndpointSpec, budget: Budget | None = None):
@@ -258,33 +255,24 @@ def signed_path_sum(graph: WeightedDag, spec: EndpointSpec, budget: Budget | Non
 
 
 def is_compatible(graph: WeightedDag, spec: EndpointSpec, budget: Budget | None = None) -> bool:
-    """Whether every crossing-indexed path pair is forced to share a vertex.
+    """Whether the endpoints are compatible in Stembridge's sense.
 
-    Checked by exhaustive path-pair enumeration, so only suitable for small
-    graphs.  Vacuously true for a single start.
+    Every path from an earlier start to a later end must meet every path
+    from a later start to an earlier end; edge weights play no part.  The
+    family walker makes one walk per start pair a before b, from (b, a)
+    over all the ends: a family it finds is a path b -> c and a disjoint
+    path a -> d with c before d, a crossing pair that does not meet, so the
+    first family decides.  Exhaustive, so only suitable for small graphs.
+    Vacuously true for a single start.
     """
     spec.validate(graph)
     if budget is None:
         budget = Budget()
-    cache: dict[tuple, list[frozenset]] = {}
-
-    def vertex_sets(a, b):
-        if (a, b) not in cache:
-            cache[a, b] = [vs for vs, _ in iter_path_vertex_sets(graph, a, b, budget)]
-        return cache[a, b]
-
-    for a, b in itertools.combinations(spec.starts, 2):
-        for c, d in itertools.combinations(spec.ends, 2):
-            upper = vertex_sets(a, d)
-            if not upper:
-                continue
-            lower = vertex_sets(b, c)
-            for p in upper:
-                for s in lower:
-                    budget.spend()
-                    if not (p & s):
-                        return False
-    return True
+    end_of = {v: j for j, v in enumerate(spec.ends)}.get
+    return all(
+        next(_families(graph, (b, a), end_of, budget), None) is None
+        for a, b in itertools.combinations(spec.starts, 2)
+    )
 
 
 def signed_sum_squared_dets(graph: WeightedDag, spec: EndpointSpec):

@@ -35,9 +35,11 @@ for m close to n ``sum_max_minors`` keeps one determinant per minor.
 the first row, evaluated bottom-up over the index subsets it reaches.  For
 order n those are the s-subsets of the top (n + s) / 2 indices, even s,
 F(n + 1) subsets in all, so the cost grows like phi^n, not 2^n, and nothing
-in this module recurses.  ``pfaffian_by_matchings``, the crossing-signed
-sum over perfect matchings (``one_factors``, ``crossing_number``), shares
-no code with it and is kept only as its oracle.
+in this module recurses.  Those subsets are charged to a default ``Budget``
+before the expansion runs, so ``TILING_REFLECT_BUDGET`` caps the order (34
+under the default cap).  ``pfaffian_by_matchings``, the crossing-signed sum
+over perfect matchings (``one_factors``, ``crossing_number``), shares no
+code with it and is kept only as its oracle.
 
 ``upper_twos_gram`` forms Z U Z^T, the matrix of the squared minor-sum
 identity, by running sums and dot products without forming U.  Polynomial
@@ -59,6 +61,7 @@ import math
 import operator
 from fractions import Fraction
 
+from .budget import Budget
 from .ring import multiply_accumulate, parse_scalar, scalar_str
 
 
@@ -344,12 +347,15 @@ def pfaffian_by_expansion(matrix: ExactMatrix):
     drops the smallest index, so the subsets reached from {0, ..., n-1} are
     exactly the s-subsets of the top (n + s) / 2 indices for even s:
     F(n + 1) of them in all (Fibonacci), about phi^n.  They are evaluated
-    by size, each from the level below, and keyed by bitmask.
+    by size, each from the level below, and keyed by bitmask.  Every subset
+    is charged to a default budget first, so an order above 34 stops at the
+    default cap instead of running for hours.
     """
     _require_skew(matrix)
     n = matrix.rows
     if n % 2:
         raise ValueError("Pfaffian requires even order")
+    Budget().spend(sum(math.comb((n + s) // 2, s) for s in range(0, n + 1, 2)))
     entries = matrix._entries
     pf = {0: 1}
     for s in range(2, n + 1, 2):

@@ -194,6 +194,18 @@ def test_pfaffian_from_file(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "q"
 
 
+def test_pfaffian_past_the_default_budget_exits_1(tmp_path, monkeypatch, capsys):
+    # Order 60 would expand F(61) ~ 2.5e12 subsets; the charge stops it first.
+    monkeypatch.delenv("TILING_REFLECT_BUDGET", raising=False)
+    n = 60
+    path = tmp_path / "skew60.json"
+    path.write_text(json.dumps([["1" if i < j else "-1" if i > j else "0" for j in range(n)] for i in range(n)]))
+    assert main(["compute", "pfaffian", "--matrix", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "exceeded its budget" in err
+
+
 def test_pfaffian_of_bare_json_numbers_is_a_usage_error(tmp_path):
     path = tmp_path / "numbers.json"
     path.write_text(json.dumps([[0, 1], [-1, 0]]))

@@ -123,17 +123,42 @@ def test_none_is_a_vertex_like_any_other():
     assert nonintersecting_gf(g, EndpointSpec(("a", "b"), ("e1", "e2", "e3"))) == 2
 
 
+def _paths(g, a, b):
+    # Every directed a -> b path as (vertex set, weight), grown one edge at a
+    # time from the edge list; a DAG path never revisits a vertex.
+    found, partial = [], [((a,), 1)]
+    while partial:
+        path, weight = partial.pop()
+        if path[-1] == b:
+            found.append((frozenset(path), weight))
+            continue
+        partial.extend((path + (d,), weight * w) for s, d, w in g.edges if s == path[-1])
+    return found
+
+
 def _brute_family_sum(g, spec, perm):
     # Over increasing end tuples: every choice of one path per (start, end)
-    # pair, from iter_path_vertex_sets, kept when the paths are disjoint.
+    # pair, kept when the paths are disjoint.  Shares no code with dag's walker.
     total = 0
     for ends in itertools.combinations(spec.ends, len(perm)):
-        paths = [list(iter_path_vertex_sets(g, spec.starts[i], end, Budget())) for i, end in zip(perm, ends)]
+        paths = [_paths(g, spec.starts[i], end) for i, end in zip(perm, ends)]
         for family in itertools.product(*paths):
             sets = [vs for vs, _ in family]
             if sum(map(len, sets)) == len(frozenset().union(*sets)):
                 total += math.prod(w for _, w in family)
     return total
+
+
+def _brute_compatible(g, spec):
+    # The definition: for starts a before b and ends c before d, every
+    # a -> d path meets every b -> c path.
+    return all(
+        p & s
+        for a, b in itertools.combinations(spec.starts, 2)
+        for c, d in itertools.combinations(spec.ends, 2)
+        for p, _ in _paths(g, a, d)
+        for s, _ in _paths(g, b, c)
+    )
 
 
 def _random_family_instance(rng):
@@ -167,6 +192,28 @@ def test_family_oracle_matches_disjoint_path_products(seed):
             assert nonintersecting_gf(g, spec, perm) == value, (g.edges, spec, perm)
             signed += permutation_sign(perm) * value
         assert signed_path_sum(g, spec) == signed
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compatibility_matches_its_definition(seed):
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(20):
+        g, spec = _random_family_instance(rng)
+        expected = _brute_compatible(g, spec)
+        assert is_compatible(g, spec) == expected, (g.edges, spec)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_compatibility_ignores_cancelling_weights():
+    # Two disjoint crossing pairs, weighted +1 and -1: their family weights
+    # cancel, but either pair alone breaks compatibility.
+    g = WeightedDag(["u1", "u2", "v1", "v2"], [("u1", "v2", 1), ("u1", "v2", -1), ("u2", "v1", 1)])
+    spec = EndpointSpec(("u1", "u2"), ("v1", "v2"))
+    assert nonintersecting_gf(g, spec, (1, 0)) == 0
+    assert not _brute_compatible(g, spec)
+    assert not is_compatible(g, spec)
 
 
 def test_signed_sum_equals_determinant_square_grids():
@@ -324,7 +371,9 @@ def test_json_round_trip():
 
 def test_walk_order_and_budget_spending_are_pinned():
     # Recorded from the recursive walks these explicit stacks replaced:
-    # the states spent and the order in which paths are found.
+    # the states spent and the order in which paths are found.  The
+    # compatibility count is the family walker's: one walk from the later
+    # start, which finds a disjoint crossing pair at its eleventh state.
     g = grid_graph(3, 3)
     spec = EndpointSpec(((0, 1), (1, 0)), ((2, 3), (3, 2), (3, 3)))
     budget = Budget(10**6)
@@ -335,7 +384,7 @@ def test_walk_order_and_budget_spending_are_pinned():
     assert budget.limit - budget.remaining == 238
     budget = Budget(10**6)
     assert not is_compatible(g, spec, budget)
-    assert budget.limit - budget.remaining == 191
+    assert budget.limit - budget.remaining == 11
     budget = Budget(100)
     found = [sorted(vs) for vs, _ in iter_path_vertex_sets(grid_graph(2, 1), (0, 0), (2, 1), budget)]
     assert found == [

@@ -33,6 +33,7 @@ from pathtiles.linalg import (
     upper_twos_gram,
 )
 from pathtiles import linalg, ring
+from pathtiles.budget import BudgetExceeded
 from pathtiles.ring import QtPolynomial, q, t
 
 
@@ -351,6 +352,22 @@ def test_one_factors_does_not_recurse():
     calls = {node.func.id for node in ast.walk(function) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert not nested
     assert "one_factors" not in calls
+
+
+def test_pfaffian_charges_its_subsets_to_the_budget(monkeypatch):
+    # Order n evaluates F(n + 1) subsets: a budget of exactly that many
+    # runs, one state less runs out.
+    fib = [0, 1]
+    while len(fib) < 14:
+        fib.append(fib[-1] + fib[-2])
+    rng = random.Random(5)
+    for n in range(0, 13, 2):
+        a = random_skew_matrix(rng, n)
+        monkeypatch.setenv("TILING_REFLECT_BUDGET", str(fib[n + 1]))
+        assert pfaffian_by_expansion(a) == pfaffian_by_matchings(a)
+        monkeypatch.setenv("TILING_REFLECT_BUDGET", str(fib[n + 1] - 1))
+        with pytest.raises(BudgetExceeded, match=f"budget of {fib[n + 1] - 1} states"):
+            pfaffian_by_expansion(a)
 
 
 def test_pfaffian_by_expansion_matches_matchings():

@@ -40,12 +40,12 @@ D^(number of cells) times its own weight and a count is divided by that
 once, at the end: the result is an int when it is integral and a Fraction
 only when it is not.  Cells are decoded from keys only for the covers a
 tiler returns.
-count_tilings is a transfer-matrix scan whose states are bitmasks of the
-cells just ahead that are already covered; it builds each cell's covers from
-its later partners in the same pass.  iter_tilings, sample_tiling and
-count_symmetric_tilings (which places whole symmetry orbits of covers) share
-one depth-first search on an explicit stack.  Each tiler spends a Budget,
-and none recurses.  A symmetry is built once, as a permutation of the cell
+count_tilings and count_symmetric_tilings share one transfer-matrix scan
+whose states are bitmasks of the cells ahead already covered; its moves at
+a cell are the covers, or for a symmetric count the symmetry orbits of
+covers, whose least cell it is.  iter_tilings and sample_tiling share one
+depth-first search on an explicit stack.  Each tiler spends a Budget, and
+none recurses.  A symmetry is built once, as a permutation of the cell
 indices: each key is decoded, its cell mirrored (central: (sx - x, sy - y),
 vertical: (sx - x, y), with sx and sy the sums of the least and largest
 coordinates, orientation flipped) and encoded again.  A mirror maps the
@@ -135,7 +135,7 @@ class Region:
         return sorted(self.cells)
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "cells": [[c.x, c.y, c.orient] for c in self.sorted_cells()],
             "free_edges": [list(e) for e in sorted(self.free_edges)],
             "weights": [
@@ -143,7 +143,6 @@ class Region:
                 for k, w in sorted(self.weights.items(), key=lambda kv: sorted(kv[0]))
             ],
         }
-        return doc
 
     @classmethod
     def from_json(cls, doc) -> "Region":
@@ -173,7 +172,7 @@ def _cell_from_json(cell) -> tuple[int, int, str]:
 
 
 # ---------------------------------------------------------------------------
-# Tilers: a transfer-matrix count and one depth-first search core
+# Tilers: one transfer-matrix scan and one depth-first search core
 # ---------------------------------------------------------------------------
 
 
@@ -199,9 +198,6 @@ class _Plan(NamedTuple):
         x0, y0, h = self.frame
         dx, dy = divmod(self.keys[i] >> 1, h)
         return Cell(x0 + dx, y0 + dy, "LR"[self.keys[i] & 1])
-
-    def weight(self, cover: tuple[int, ...]) -> int:
-        return self.weights.get(cover, self.scale ** len(cover))
 
     def cover_cells(self, cover: tuple[int, ...]) -> frozenset:
         return frozenset(map(self.cell, cover))
@@ -262,61 +258,64 @@ def _tiling_plan(region: Region) -> _Plan:
 
 
 def count_tilings(region: Region, budget: Budget | None = None):
-    """Weighted number of tilings, by a transfer-matrix scan over the cells
-    in sorted order.  A state is the bitmask of later cells already covered,
-    relative to the scan position, and carries the scaled total weight of
-    the partial tilings reaching it.  Each cell spends its live states'
-    count from the budget.  The count is an int when it is integral, else a
-    Fraction."""
-    if budget is None:
-        budget = Budget()
+    """Weighted number of tilings: the transfer-matrix scan with each cell's
+    lozenges and free half as its moves.  An int when it is integral."""
     plan = _tiling_plan(region)
+    return _scan(plan, _cover_moves(plan), budget)
+
+
+def _cover_moves(plan: _Plan):
+    """Per cell i, the covers of cell i with no earlier cell, as _scan moves."""
     get, later, weights, free = plan.index.get, plan.later, plan.weights, plan.free
     pair, half = plan.scale**2, plan.scale
-    states = {0: 1}
     for i, key in enumerate(plan.keys):
-        budget.spend(len(states))
-        # Covers of cell i with no earlier cell, as bits of the state after
-        # cell i is dropped from it.
-        steps = []
+        moves = []
         for d in later[key & 1]:
-            j = get(key + d)
-            if j is not None:
-                steps.append((1 << (j - i - 1), weights.get((i, j), pair)))
+            if (j := get(key + d)) is not None:
+                moves.append((1 << (j - i - 1), weights.get((i, j), pair)))
         if i in free:
-            steps.append((0, weights.get((i,), half)))
+            moves.append((0, weights.get((i,), half)))
+        yield moves
+
+
+def _scan(plan: _Plan, cell_moves, budget: Budget | None = None):
+    """Weight sum of the exact covers of the plan's cells, by a scan in cell
+    order.  A state is the bitmask of later cells already covered, relative
+    to the scan position, with the scaled weight of the partial covers
+    reaching it.  cell_moves yields, per cell i, the moves covering i and no
+    earlier cell: (bitmask of their other cells relative to cell i + 1,
+    scaled weight).  Each cell spends its live states' count from the budget."""
+    if budget is None:
+        budget = Budget()
+    states = {0: 1}
+    for moves in cell_moves:
+        budget.spend(len(states))
         nxt: dict = {}
         for mask, weight in states.items():
             rest = mask >> 1
             if mask & 1:
                 nxt[rest] = nxt.get(rest, 0) + weight
                 continue
-            for bit, w in steps:
-                if not rest & bit:
-                    nxt[rest | bit] = nxt.get(rest | bit, 0) + weight * w
+            for bits, w in moves:
+                if not rest & bits:
+                    nxt[rest | bits] = nxt.get(rest | bits, 0) + weight * w
         states = nxt
     return plan.unscale(states.get(0, 0))
 
 
-def _search_moves(plan: _Plan) -> list:
-    """Per cell, its moves (cell bitmask, cover): its lozenges in
-    cell_partners order, earlier partners included, then its free half."""
+def _search(plan: _Plan, budget: Budget | None = None, shuffle=None):
+    """Depth-first search, on an explicit stack, for the tilings of the plan.
+    Each node spends one budget state and tries the moves (cell bitmask,
+    cover) of its first uncovered cell: its lozenges in cell_partners order,
+    earlier partners included, then its free half, after shuffle(a copy of
+    them) if given.  Each tiling yields the chosen moves (a reused list)."""
+    if budget is None:
+        budget = Budget()
     get, moves = plan.index.get, []
     for i, key in enumerate(plan.keys):
         moves.append([(1 << i | 1 << j, (i, j)) for d in plan.offsets[key & 1] if (j := get(key + d)) is not None])
         if i in plan.free:
             moves[-1].append((1 << i, (i,)))
-    return moves
-
-
-def _search(moves, budget: Budget | None = None, shuffle=None):
-    """Depth-first search, on an explicit stack, for exact covers of cells
-    0 .. len(moves) - 1: each node tries the moves of its first uncovered
-    cell, after shuffle(a copy of them) if given, and spends one budget
-    state.  Each complete cover yields the chosen moves (a reused list).
-    """
-    if budget is None:
-        budget = Budget()
     full = (1 << len(moves)) - 1
     covered = 0  # bitmask of covered cells
     chosen: list = []
@@ -347,14 +346,14 @@ def _search(moves, budget: Budget | None = None, shuffle=None):
 def iter_tilings(region: Region, budget: Budget | None = None):
     """Yield every tiling as a frozenset of covers (cell pairs or free halves)."""
     plan = _tiling_plan(region)
-    for chosen in _search(_search_moves(plan), budget):
+    for chosen in _search(plan, budget):
         yield frozenset(plan.cover_cells(cover) for _, cover in chosen)
 
 
 def sample_tiling(region: Region, rng, budget: Budget | None = None):
     """First tiling found by a depth-first search with shuffled branches."""
     plan = _tiling_plan(region)
-    for chosen in _search(_search_moves(plan), budget, rng.shuffle):
+    for chosen in _search(plan, budget, rng.shuffle):
         return [plan.cover_cells(cover) for _, cover in chosen]
     raise ValueError("region has no tiling")
 
@@ -397,32 +396,33 @@ def _symmetry_perms(plan: _Plan, mode: str) -> list[list[int]]:
 
 
 def count_symmetric_tilings(region: Region, mode: str, budget: Budget | None = None):
-    """Number of tilings fixed by the chosen symmetries of the region.
-
-    A fixed tiling is a disjoint union of orbits of covers, so the search
-    places each cover together with its orbit and visits only fixed tilings.
-    Each symmetry acts on the plan's cell indices as a permutation.
-    """
+    """Number of tilings fixed by the chosen symmetries of the region: such
+    a tiling is a disjoint union of orbits of covers, so the scan counts them
+    with the orbits whose least cell is i as the moves of cell i."""
     plan = _tiling_plan(region)
-    perms = _symmetry_perms(plan, mode)
-    orbit_moves = []
-    get = plan.index.get
+    group = [list(range(len(plan.keys)))]
+    for perm in _symmetry_perms(plan, mode):  # commuting involutions: their products close the group
+        group += [[perm[k] for k in g] for g in group]
+    return _scan(plan, _orbit_moves(plan, group), budget)
+
+
+def _orbit_moves(plan: _Plan, group: list[list[int]]):
+    """Per cell i, as _scan moves, the orbits whose least cell is i, each
+    weighing the product of its covers' weights and built once, from its one
+    cover of cell i.  An orbit that overlaps itself is in no fixed tiling."""
+    get, later, free, scale = plan.index.get, plan.later, plan.free, plan.scale
+    weights = {sum(1 << k for k in cover): w for cover, w in plan.weights.items()}
     for i, key in enumerate(plan.keys):
-        # A cover reaching back to an earlier cell is never placed: the
-        # search only extends its first uncovered cell.
-        covers = [(i, j) for d in plan.later[key & 1] if (j := get(key + d)) is not None]
-        if i in plan.free:
-            covers.append((i,))
-        orbit_moves.append([])
-        for cover in covers:
-            orbit = {cover}
-            for perm in perms:  # commuting involutions: one pass each closes the orbit
-                orbit |= {tuple(sorted(perm[k] for k in image)) for image in orbit}
-            cells = [k for image in orbit for k in image]
-            if len(set(cells)) == len(cells):  # an orbit overlapping itself is never placed
-                weight = math.prod(map(plan.weight, orbit))
-                orbit_moves[-1].append((sum(1 << k for k in cells), weight))
-    return plan.unscale(sum(math.prod(w for _, w in chosen) for chosen in _search(orbit_moves, budget)))
+        ends = [j for d in later[key & 1] if (j := get(key + d)) is not None]
+        if i in free:
+            ends.append(i)  # the free half, as the cover {i, i}
+        moves = []
+        for j in ends:
+            orbit = {1 << g[i] | 1 << g[j] for g in group}
+            cells = sum(orbit)  # with fewer bits than the images have in all when two overlap
+            if not cells & ((1 << i) - 1) and cells.bit_count() == len(orbit) * (1 + (j != i)):
+                moves.append((cells >> i + 1, math.prod([weights.get(m, scale ** m.bit_count()) for m in orbit])))
+        yield moves
 
 
 def reflect_cells(cells, line: int = 0):

@@ -140,6 +140,17 @@ def test_tile_verify(capsys, hexagon_file):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_tile_verify_over_budget_is_reported(tmp_path):
+    # The centrally symmetric count of this hexagon spends about 5.1e6 states.
+    path = tmp_path / "hexagon_6_8.json"
+    path.write_text(json.dumps(holed_hexagon(6, 8).to_json()))
+    proc = _run_module(["tile", "verify", "--region", str(path)], TILING_REFLECT_BUDGET="50000")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_tile_verify_rejects_a_non_invariant_region(tmp_path, capsys):
     # A hexagon less one interior cell has no central symmetry to count under.
     box = holed_hexagon(1, 2)

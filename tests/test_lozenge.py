@@ -658,12 +658,43 @@ def test_count_symmetric_tilings_matches_filtered_enumeration():
     horizontal = [frozenset((a, b)) for a in box.cells for b in cell_partners(a)
                   if b in box.cells and a.orient == "L" and is_horizontal_pair(a, b)]
     regions.append(Region(box.cells, (), {pair: Fraction(1, 2) for pair in horizontal}))
+    # Free halves weighing 1/3 on both vertical sides, invariant under both
+    # symmetries; and that region and the box at negative coordinates.
+    sides = collections.Counter(map(_vertical_side, box.cells))
+    free_cells = [c for c in box.cells if sides[_vertical_side(c)] == 1]
+    free = Region(box.cells, map(_vertical_side, free_cells), {frozenset({c}): Fraction(1, 3) for c in free_cells})
+    regions += [free, _shifted(free, -9, -13), _shifted(box, -9, -13)]
     for region in regions:
         assert len(region) <= 100
         tilings = list(_oracle_tilings(region))
         _assert_count(count_tilings(region), _oracle_count(region, None, tilings))
         for mode in ("central", "vertical", "both"):
             _assert_count(count_symmetric_tilings(region, mode), _oracle_count(region, mode, tilings))
+
+
+@pytest.mark.parametrize("build, args, shape", [
+    (holed_hexagon, (4, 5, ()), (4, 2)),
+    (holed_hexagon, (5, 6, ()), (5, 3, 1)),
+    (holed_hexagon, (4, 6, (1,)), (5, 3, 1)),
+    (punctured_hexagon, (3, 4, 1, ()), (6, 4, 2)),
+])
+def test_symmetric_counts_past_enumeration_match_quotient_formulas(build, args, shape):
+    # Sizes with more fixed tilings than a search visiting each of them
+    # could reach in the default budget.  The doubly symmetric count is the
+    # free-boundary count of the quotient hook region and the centrally
+    # symmetric count 2^k times its two-sided count, both by binomial-matrix
+    # formulas that share no code with the tilers.
+    m, holes = args[0], args[-1]
+    region = build(*args)
+    both = count_symmetric_tilings(region, "both")
+    assert both == free_tiling_count_formula(m, shape, holes)
+    central = count_symmetric_tilings(region, "central")
+    assert central == 2 ** (len(shape) - len(holes)) * mirrored_tiling_gf_formula(m, shape, holes) == both**2
+
+
+def test_symmetric_count_stops_at_the_budget():
+    with pytest.raises(BudgetExceeded):
+        count_symmetric_tilings(holed_hexagon(6, 8), "central", Budget(50_000))
 
 
 def test_counts_are_int_when_integral():
@@ -766,8 +797,11 @@ def _spent(call, region):
 
 
 def test_tiler_budget_spending_is_pinned():
-    # States spent per call, recorded from the tilers as they were before
-    # cells were keyed by integers: a faster plan must spend the same states.
+    # States spent per call.  The count_tilings columns were recorded from
+    # the tilers as they were before cells were keyed by integers: a faster
+    # plan must spend the same states.  The central and both columns were
+    # recorded when the symmetric counts moved onto the transfer-matrix scan,
+    # which spends one state per live frontier state per cell.
     recorded = json.loads((DATA / "tiler_budget_spending.json").read_text())
     builders = {"free_hook_region": free_hook_region, "mirrored_hook_region": mirrored_hook_region}
     assert len(recorded["hook_regions"]) == 156
@@ -779,6 +813,8 @@ def test_tiler_budget_spending_is_pinned():
         assert _spent(count_tilings, region) == count, (m, n, holes)
         assert _spent(lambda r, b: count_symmetric_tilings(r, "central", b), region) == central, (m, n, holes)
         assert _spent(lambda r, b: count_symmetric_tilings(r, "both", b), region) == both, (m, n, holes)
+    # A size the depth-first search it replaced could not finish within the default budget.
+    assert _spent(lambda r, b: count_symmetric_tilings(r, "central", b), holed_hexagon(4, 5)) == 31708
 
 
 def _shifted(region, dx, dy):

@@ -135,7 +135,7 @@ class Region:
         return sorted(self.cells)
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "cells": [[c.x, c.y, c.orient] for c in self.sorted_cells()],
             "free_edges": [list(e) for e in sorted(self.free_edges)],
             "weights": [
@@ -143,6 +143,7 @@ class Region:
                 for k, w in sorted(self.weights.items(), key=lambda kv: sorted(kv[0]))
             ],
         }
+        return doc
 
     @classmethod
     def from_json(cls, doc) -> "Region":
@@ -258,8 +259,7 @@ def _tiling_plan(region: Region) -> _Plan:
 
 
 def count_tilings(region: Region, budget: Budget | None = None):
-    """Weighted number of tilings: the transfer-matrix scan with each cell's
-    lozenges and free half as its moves.  An int when it is integral."""
+    """Weighted number of tilings (an int when integral), by the scan."""
     plan = _tiling_plan(region)
     return _scan(plan, _cover_moves(plan), budget)
 

@@ -19,8 +19,8 @@ O(2^n * n) ring products and no division, so it is exponential in the order
 and capped at order 20.  The first row of the expansion is the row itself,
 and each later row is one batch of signed sums of products; only how a
 batch is summed depends on the entry ring.  Polynomial rows make one
-``ring.multiply_accumulate`` call, which packs each minor and entry once
-and unpacks each new minor once.  Callers that evaluate a polynomial
+``ring.packed_sums`` call each, which keeps minors packed from row to
+row, so only the last row is unpacked.  Callers that evaluate a polynomial
 determinant at a Kronecker point (ring.kronecker_pack) call it directly on
 the packed ints: their entries run to thousands of bits, and
 CPython's exact ``//`` on such ints is quadratic in their length, so at the
@@ -62,7 +62,7 @@ import operator
 from fractions import Fraction
 
 from .budget import Budget
-from .ring import multiply_accumulate, parse_scalar, scalar_str
+from .ring import multiply_accumulate, packed_sums, parse_scalar, polynomial, scalar_str
 
 
 class ExactMatrix:
@@ -223,9 +223,11 @@ def _column_subset_dp(matrix: ExactMatrix, signed: bool) -> dict:
     rows on it; one DP row is one batch of sums of products.  Returns the
     last row: each rows-subset of columns, as a bitmask, with the minor (or,
     unsigned, the permanent) on those columns in sorted order.  The first
-    row is its own expansion, so no batch is made for it."""
+    row is its own expansion, so no batch is made for it.  Polynomial rows
+    are packed records (ring.packed_sums) until the last one is unpacked."""
     n = matrix.cols
-    sums = _sums_of_products(matrix._entries)
+    numeric = _is_numeric(matrix._entries)
+    sums = _numeric_sums if numeric else packed_sums
     state = {1 << j: x for j, x in enumerate(matrix.row(0))} if matrix.rows else {0: 1}
     for r in range(1, matrix.rows):
         row = matrix.row(r)
@@ -238,13 +240,7 @@ def _column_subset_dp(matrix: ExactMatrix, signed: bool) -> dict:
                 odd = signed and (r + (mask & ((1 << j) - 1)).bit_count()) % 2
                 targets.setdefault(mask | 1 << j, []).append((-1 if odd else 1, value, row[j]))
         state = dict(zip(targets, sums(targets.values())))
-    return state
-
-
-def _sums_of_products(entries):
-    """The batch summer for a ring: ring.multiply_accumulate when any entry
-    is a polynomial, plain int / Fraction arithmetic otherwise."""
-    return _numeric_sums if _is_numeric(entries) else multiply_accumulate
+    return state if numeric else {mask: polynomial(value) for mask, value in state.items()}
 
 
 def _numeric_sums(targets) -> list:

@@ -39,7 +39,7 @@ from .lozenge import (
     mirrored_tiling_gf_formula,
     validate_strict_partition,
 )
-from .ring import QtPolynomial, qbinomial, slot_width
+from .ring import QtPolynomial, packed_record, qbinomial, slot_width
 
 
 @dataclass(frozen=True)
@@ -336,15 +336,15 @@ def qt_gf_determinant(m: int, shape) -> QtPolynomial:
 
     Z U Z^T is formed on Z packed at stride 2(m + k) - 1, above its top
     t-degree 2(m + k - 1), in slots sized by ``_gram_coefficient_bound``.
-    Its k^2 entries are unpacked once, and the determinant runs on the
-    kernel.
+    Its k^2 entries go to the determinant's expansion still packed, as
+    records whose L1 bounds are the entries of |Z| U |Z|^T for Z's norms.
     """
     shape = validate_strict_partition(shape)
     _check_bound(m)
     stride = 2 * (m + len(shape)) - 1
-    *_, packed, width = _packed_path_matrix(m, shape, stride, _gram_coefficient_bound)
-    gram = upper_twos_gram(packed)
-    entries = [QtPolynomial.from_packed(v, stride, width) for row in gram.to_rows() for v in row]
+    _, norms, packed, width = _packed_path_matrix(m, shape, stride, _gram_coefficient_bound)
+    gram, l1 = upper_twos_gram(packed), upper_twos_gram(norms)
+    entries = [packed_record(v, stride, width, bound) for v, bound in zip(gram._entries, l1._entries)]
     return QtPolynomial.from_scalar(determinant(ExactMatrix(gram.rows, gram.cols, entries)))
 
 

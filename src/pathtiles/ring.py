@@ -15,16 +15,21 @@ substitution", J. Symbolic Comput. 2009), batched: ``multiply_accumulate``
 takes many targets, each a signed sum of products a * b, lays the batch
 out by the products it holds, packs each distinct operand into one big
 integer once, sums every target's products on ints and unpacks each target
-once.  ``QtPolynomial.__mul__`` is its one-pair case, and the polynomial
-determinants of ``linalg`` make one call per batch.  Rational and very
+once.  ``QtPolynomial.__mul__`` is its one-pair case.  Rational and very
 sparse batches, and batches with too few term pairs per target, use the
-schoolbook dict loop.  The byte-slot packer ``kronecker_pack``,
-``slot_width`` and the single unpacker ``kronecker_unpack``, which reads a
-packed value up to its top nonzero slot into a term map, are public because
-whole formulas are evaluated the same way: ``partitions`` builds its path
-matrices as packed ints in this layout, with ``kronecker_pack`` as their
-reference, and reads results with ``QtPolynomial.from_packed``.
-Everything is immutable after construction, so values can be shared freely.
+schoolbook dict loop.  The polynomial determinants of ``linalg`` make one
+batch per expansion row through ``packed_sums``, which keeps each packed
+sum as a record of its int, layout and stats, read off its slots.  The
+next batch moves a record to its own layout by byte copies (``_move``)
+rather than unpacking and packing it again, so only the last row is
+unpacked.  The byte-slot packer ``kronecker_pack``, ``slot_width``
+and the single unpacker ``kronecker_unpack``, which reads a packed value up
+to its top nonzero slot into a term map, are public because whole formulas
+are evaluated the same way: ``partitions`` builds its path matrices as
+packed ints in this layout, with ``kronecker_pack`` as their reference, and
+hands them on as records (``packed_record``) or reads them with
+``QtPolynomial.from_packed``.  Everything is immutable after construction,
+so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -238,13 +243,81 @@ def multiply_accumulate(targets) -> list[QtPolynomial]:
     return [_raw(terms) for terms in _multiply_accumulate(batch)]
 
 
-def _multiply_accumulate(batch: list) -> list[dict]:
-    """multiply_accumulate on term maps; returns one term map per target."""
+def packed_sums(targets) -> list:
+    """multiply_accumulate whose operands may also be records or term maps,
+    keeping each sum as a record where its batch packs, else as a term map."""
+    pick = lambda x: x if type(x) in (_Packed, dict) else _coerce(x)._terms
+    batch = [[(sign, pick(a), pick(b)) for sign, a, b in target] for target in targets]
+    return _multiply_accumulate(batch, records=True)
+
+
+def polynomial(value):
+    """A packed record or term map as a QtPolynomial; other scalars as they are."""
+    if type(value) is _Packed:
+        return _raw(kronecker_unpack(value.value, value.stride, value.width))
+    return _raw(value) if type(value) is dict else value
+
+
+class _Packed:
+    """A nonzero int polynomial packed at (stride, width), with a bound l1 on
+    its L1 norm.  ``stats`` reads its top q-row, exact top t-degree, largest
+    |coefficient| and term count off its slots once, when first needed."""
+
+    __slots__ = ("value", "stride", "width", "l1", "_stats")
+
+    def __len__(self) -> int:
+        return self.stats()[3]
+
+    def stats(self) -> tuple[int, int, int, int]:
+        if self._stats is None:
+            slots, stride = _biased_slots(self.value, self.width), self.stride
+            half, count, top_t = 1 << (8 * self.width - 1), len(slots), stride - 1
+            while slots[top_t::stride].count(half) == len(range(top_t, count, stride)):
+                top_t -= 1  # the last column mod stride holding a nonzero slot
+            big = max(max(slots) - half, half - min(slots))
+            self._stats = ((count - 1) // stride, top_t, big, count - slots.count(half))
+        return self._stats
+
+
+def packed_record(value: int, stride: int, width: int, l1: int):
+    """The record of a packed value with L1 norm at most l1, or {} for 0."""
+    if not value:
+        return {}
+    x = _Packed()
+    x.value, x.stride, x.width, x.l1, x._stats = value, stride, width, l1, None
+    return x
+
+
+def _move(x: _Packed, stride: int, width: int) -> int:
+    """A record's value at a stride above its top t-degree and a width of
+    at least its own: its biased slots, widened by strided copies, are
+    copied q-row by q-row into a pattern of biased zeros at the new stride,
+    and the pattern is subtracted.  No per-term work."""
+    if (stride, width) == (x.stride, x.width):
+        return x.value
+    top_q, top_t = x.stats()[:2]
+    w0, n, slots = x.width, top_t + 1, top_q * x.stride + top_t + 1
+    data, wide = (x.value + _bias(slots, w0)).to_bytes(slots * w0, "little"), bytearray(slots * width)
+    for j in range(w0):
+        wide[j::width] = data[j::w0]
+    empty = (b"\0" * (w0 - 1) + b"\x80").ljust(width, b"\0")
+    out = bytearray(empty * (top_q * stride + n))
+    row, old, new = n * width, x.stride * width, stride * width
+    for r in range(top_q + 1):
+        out[r * new : r * new + row] = wide[r * old : r * old + row]
+    return int.from_bytes(out, "little") - int.from_bytes(empty * (len(out) // width), "little")
+
+
+def _multiply_accumulate(batch: list, records: bool = False) -> list:
+    """multiply_accumulate on term maps, one term map per target; with
+    records, on records too, keeping the sums of a packed batch as records."""
     term_pairs = sum(len(a) * len(b) for target in batch for _, a, b in target)
     if term_pairs > _PACK_MIN_PAIRS + _PACK_PAIRS_PER_TARGET * (len(batch) - 1):
-        packed = _mac_packed(batch, term_pairs)
+        packed = _mac_packed(batch, term_pairs, records)
         if packed is not None:
             return packed
+    if records:
+        batch = [[(s, polynomial(a)._terms, polynomial(b)._terms) for s, a, b in target] for target in batch]
     return [_mac_dict(target) for target in batch]
 
 
@@ -269,15 +342,17 @@ def _mac_dict(target: list) -> dict:
     return out
 
 
-def _mac_packed(batch: list, term_pairs: int) -> list[dict] | None:
-    """Kronecker substitution for a whole batch of int term maps, laid out
-    by the products it holds.
+def _mac_packed(batch: list, term_pairs: int, records: bool = False) -> list | None:
+    """Kronecker substitution for a whole batch of int term maps and
+    records, laid out by the products it holds.
 
     Term (e_q, e_t) goes to slot e_q * stride + e_t with stride = the
     largest deg_t(a) + deg_t(b) of a live pair, plus 1, so no product
     exponent carries across slots.  A coefficient of a * b is at most
     min(max|a| * L1(b), L1(a) * max|b|), so the slot holds the largest
-    per-target sum of that bound plus a sign bit.
+    per-target sum of that bound plus a sign bit, and no fewer bytes than a
+    record operand, which is moved (``_move``).  With records, each sum is
+    kept as a record with L1 bound the sum of L1(a) * L1(b) over its pairs.
 
     Returns None for a rational batch, and when the targets together have
     more slots than term pairs: unpacking visits every slot, so the dict
@@ -285,39 +360,45 @@ def _mac_packed(batch: list, term_pairs: int) -> list[dict] | None:
     """
     # id -> (deg_q, deg_t, max |coefficient|, L1 norm) of each live operand.
     stats: dict[int, tuple[int, int, int, int]] = {}
-    operands: dict[int, dict] = {}
+    operands: dict[int, dict | _Packed] = {}
     top_q = top_t = bound = 0
+    norms = []  # each target's bound on its L1 norm
     for target in batch:
-        total = 0
+        total = l1 = 0
         for _, a, b in target:
             if not (a and b):
                 continue
             for x in (a, b):
-                if id(x) not in stats:
+                if type(x) is _Packed:
+                    stats[id(x)] = (*x.stats()[:3], x.l1)
+                elif id(x) not in stats:
                     values = x.values()
                     if set(map(type, values)) != {int}:
                         return None
                     sizes = list(map(abs, values))
                     stats[id(x)] = (max(x)[0], max(map(itemgetter(1), x)), max(sizes), sum(sizes))
-                    operands[id(x)] = x
+                operands[id(x)] = x
             aq, at, a_big, a_l1 = stats[id(a)]
             bq, bt, b_big, b_l1 = stats[id(b)]
             top_q, top_t = max(top_q, aq + bq), max(top_t, at + bt)
             total += min(a_big * b_l1, a_l1 * b_big)
+            l1 += a_l1 * b_l1
         bound = max(bound, total)
+        norms.append(l1)
     stride = top_t + 1
     if (top_q + 1) * stride * len(batch) > term_pairs:
         return None
-    width = slot_width(bound)
-    packed = {key: kronecker_pack(terms, stride, width) for key, terms in operands.items()}
+    width = max([slot_width(bound)] + [x.width for x in operands.values() if type(x) is _Packed])
+    move = lambda x: _move(x, stride, width) if type(x) is _Packed else kronecker_pack(x, stride, width)
+    packed = {key: move(x) for key, x in operands.items()}
     out = []
-    for target in batch:
+    for target, l1 in zip(batch, norms):
         acc = 0
         for sign, a, b in target:
             if a and b:
                 product = packed[id(a)] * packed[id(b)]
                 acc = acc + product if sign > 0 else acc - product
-        out.append(kronecker_unpack(acc, stride, width))
+        out.append(packed_record(acc, stride, width, l1) if records else kronecker_unpack(acc, stride, width))
     return out
 
 
@@ -367,7 +448,14 @@ def _bias(slots: int, width: int) -> int:
 
 def kronecker_unpack(value: int, stride: int, width: int) -> dict:
     """Term map of a packed value, inverse to kronecker_pack at the same
-    stride and width: slot i holds term divmod(i, stride).
+    stride and width: slot i holds term divmod(i, stride)."""
+    half = 1 << (8 * width - 1)
+    return {divmod(i, stride): v - half for i, v in enumerate(_biased_slots(value, width)) if v != half}
+
+
+def _biased_slots(value: int, width: int) -> list[int]:
+    """The slots of a packed value up to its top nonzero one (slot 0 for 0),
+    each plus 2^(8 * width - 1).
 
     Slots below the top nonzero one hold less than X / 2 together, where
     X = 2^(8 * width), so a value whose top nonzero slot is s has
@@ -376,23 +464,17 @@ def kronecker_unpack(value: int, stride: int, width: int) -> dict:
     of the biased value are the slots themselves.  Slots of at most 8 bytes
     are widened to machine words by strided copies and read in one call.
     """
-    if not value:
-        return {}
     slots = abs(value).bit_length() // (8 * width) + 1
-    size = slots * width
-    data = (value + _bias(slots, width)).to_bytes(size, "little")
+    data = (value + _bias(slots, width)).to_bytes(slots * width, "little")
     if width > 8:
-        biased = [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
-    else:
-        raw = bytearray(8 * slots)
-        for j in range(width):
-            raw[j::8] = data[j::width]
-        words = array("Q", raw)
-        if not _LITTLE_ENDIAN:
-            words.byteswap()
-        biased = words.tolist()
-    half = 1 << (8 * width - 1)
-    return {divmod(i, stride): v - half for i, v in enumerate(biased) if v != half}
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    raw = bytearray(8 * slots)
+    for j in range(width):
+        raw[j::8] = data[j::width]
+    words = array("Q", raw)
+    if not _LITTLE_ENDIAN:
+        words.byteswap()
+    return words.tolist()
 
 
 def _format_monomial(coeff: Fraction, eq: int, et: int) -> str:

@@ -431,8 +431,9 @@ def suite_spp(rng, max_part: int = 4, max_parts: int = 3, max_m: int = 3,
                 edges.append(((x, y), (x - 1, y), 1))
         g = dag.WeightedDag(g_vertices, edges)
         for a in range(lattice_range + 1):
+            gf = dag.gf_from(g, (a, 0))
             for d in range(lattice_range + 1):
-                got = QtPolynomial.from_scalar(dag.path_gf(g, (a, 0), (0, d)))
+                got = QtPolynomial.from_scalar(gf[(0, d)])
                 want = partitions.lattice_path_gf(a, 0, 0, d)
                 if got != want:
                     return False, f"(a={a}, d={d}): DP {got} != closed form {want}"

@@ -304,6 +304,14 @@ def test_verify_full_report_is_pinned(capsys, seed, md5):
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
 
 
+def test_readme_qt_determinant_is_pinned(capsys):
+    # The README-size (q,t) determinant, 8485 terms, byte for byte; its
+    # expansion rows stay packed from one row to the next.
+    args = ["compute", "spp-gf", "--m", "6", "--shape", "9,7,6,3,2", "--mode", "qt", "--method", "det"]
+    assert main(args) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == "c41a474b20b8eb4a2787d69378fb7a4f"
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["compute", "tiling-count", "--region", "/nonexistent.json"]) == 2
 

@@ -292,8 +292,8 @@ def test_polynomial_determinant_packed_rows_against_cofactor_oracle(monkeypatch)
     packed_rows = []
     mac_packed = ring._mac_packed
 
-    def spy(batch, term_pairs):
-        out = mac_packed(batch, term_pairs)
+    def spy(*args):
+        out = mac_packed(*args)
         packed_rows.append(out is not None)
         return out
 
@@ -308,6 +308,50 @@ def test_polynomial_determinant_packed_rows_against_cofactor_oracle(monkeypatch)
             m = ExactMatrix(n, n, entries)
             assert determinant(m) == cofactor_det(m)
     assert any(packed_rows)
+
+
+def _dict_subset_dp(matrix):
+    """Oracle for the polynomial column-subset expansion: every sum of
+    products taken by the schoolbook ring._mac_dict on term maps."""
+    terms = lambda x: QtPolynomial.from_scalar(x).terms()
+    state = {1 << j: terms(x) for j, x in enumerate(matrix.row(0))}
+    for r in range(1, matrix.rows):
+        targets = {}
+        for mask, value in state.items():
+            for j in range(matrix.cols):
+                if not mask >> j & 1:
+                    odd = (r + (mask & ((1 << j) - 1)).bit_count()) % 2
+                    targets.setdefault(mask | 1 << j, []).append((-1 if odd else 1, value, terms(matrix.entry(r, j))))
+        state = {mask: ring._mac_dict(target) for mask, target in targets.items()}
+    return state
+
+
+def test_polynomial_subset_dp_on_records_matches_dict_sums(monkeypatch):
+    # From the third row on, each batch takes the packed records of the row
+    # before; the last row comes back as QtPolynomials.  Entries reach
+    # 10^12, so later rows need slots of more than 8 bytes.
+    moves = []
+    move = ring._move
+    monkeypatch.setattr(ring, "_move", lambda x, *layout: moves.append(layout) or move(x, *layout))
+    rng = random.Random(31)
+    matrices = []
+    for n in range(1, 6):
+        for cols in (n, n + 1):
+            entries = [_random_polynomial(rng, rng.randint(8, 20), 10**rng.choice((2, 12))) for _ in range(n * cols)]
+            matrices.append(ExactMatrix(n, cols, entries))
+    zero_row = matrices[-2].to_rows()
+    zero_row[2] = [QtPolynomial()] * 5
+    # Rows 0 and 3 equal: every minor on rows 0..3 cancels to 0.
+    repeated = matrices[-1].to_rows()
+    repeated[3] = repeated[0]
+    singular = [ExactMatrix.from_rows(zero_row), ExactMatrix.from_rows(repeated)]
+    for matrix in matrices + singular:
+        got = linalg._column_subset_dp(matrix, signed=True)
+        assert all(type(v) is QtPolynomial for v in got.values())
+        assert {mask: v.terms() for mask, v in got.items()} == _dict_subset_dp(matrix)
+        if matrix in singular:
+            assert set(got.values()) == {0}
+    assert moves and max(width for _, width in moves) > 8
 
 
 def test_upper_twos_gram_matches_the_generic_product():

@@ -356,7 +356,7 @@ def test_qt_gram_slots_fit_its_largest_coefficient(monkeypatch, m, shape, width)
     monkeypatch.setattr(partitions, "_packed_path_matrix", recorded)
     monkeypatch.setattr(partitions, "determinant", lambda gram: grams.append(gram) or 1)
     qt_gf_determinant(m, shape)
-    largest = max(c for e in grams[0].to_rows() for x in e for c in x.terms().values())
+    largest = max(c for e in grams[0].to_rows() for x in e for c in ring.polynomial(x).terms().values())
     assert widths == [width] == [ring.slot_width(largest)]
 
 
@@ -377,9 +377,10 @@ def test_qt_gf_determinant_forms_its_gram_matrix_on_ints(monkeypatch):
     monkeypatch.setattr(partitions, "lattice_path_gf", forbidden)
     monkeypatch.setattr(partitions, "upper_twos_gram", int_gram)
     assert qt_gf_determinant(m, shape) == want
-    # Only on the packed matrix: the slot width comes from per-entry
-    # bounds, not from the norms' Gram matrix.
-    assert grams == [(4, 8)]
+    # On the packed matrix, then on the norms for the entries' L1 bounds
+    # alone: the slot width comes from per-entry bounds, not from the
+    # norms' Gram matrix.
+    assert grams == [(4, 8), (4, 8)]
 
 
 def test_symmetric_volume_is_qt_specialization():

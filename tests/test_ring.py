@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals and (q,t)-polynomials."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -443,7 +444,7 @@ def test_multiply_accumulate_needs_term_pairs_for_every_target(monkeypatch):
     # pairs exceed 128 plus 32 for each target after the first.
     routes = []
     real = ring._mac_packed
-    monkeypatch.setattr(ring, "_mac_packed", lambda batch, pairs: routes.append(len(batch)) or real(batch, pairs))
+    monkeypatch.setattr(ring, "_mac_packed", lambda batch, *args: routes.append(len(batch)) or real(batch, *args))
     a, b = qint(4) * (1 + t), 1 - 2 * q
     few = [[(1, a, b)]] * 64
     many = [[(1, a, b), (-1, b, a), (1, a, b)]] * 64
@@ -488,6 +489,36 @@ def test_kronecker_pack_with_t_degrees_above_the_stride():
         for stride in (1, 2):
             packed = ring.kronecker_pack(terms, stride, 2)
             assert packed == sum(c * 2 ** (16 * (stride * eq + et)) for (eq, et), c in terms.items())
+
+
+def _record_terms(rng, count, width):
+    # count terms up to q^6 t^3 with signed coefficients that fill width
+    # bytes; the top q-row and the top t-degree are always present.
+    top = 2 ** (8 * width - 1) - 1
+    if count == 1:
+        return {(6, 3): -top}
+    terms = {(rng.randint(0, 6), rng.randint(0, 3)): rng.choice((-1, 1)) * rng.randint(1, top) for _ in range(count - 2)}
+    terms[(6, rng.randint(0, 3))] = -top
+    terms[(rng.randint(0, 6), 3)] = top
+    return terms
+
+
+@pytest.mark.parametrize("count", [1, 3, 30])
+def test_moved_record_is_the_packed_terms(count):
+    # A record's stats are those of its terms, and moved to any stride above
+    # its top t-degree (3) and any width at least its own, shrinking or
+    # growing the stride, it is kronecker_pack of its terms there.
+    rng = random.Random(count)
+    for own_width in range(1, 14):
+        terms = _record_terms(rng, count, own_width)
+        sizes = [abs(c) for c in terms.values()]
+        for own_stride in (4, 6):
+            record = ring.packed_record(ring.kronecker_pack(terms, own_stride, own_width), own_stride, own_width, sum(sizes) + 5)
+            assert record.stats() == (6, 3, max(sizes), len(terms)) and record.l1 == sum(sizes) + 5
+            for stride in range(4, 8):
+                for width in range(own_width, 14):
+                    assert ring._move(record, stride, width) == ring.kronecker_pack(terms, stride, width)
+    assert ring.packed_record(0, 5, 3, 0) == {}
 
 
 # -- substitution -----------------------------------------------------------

@@ -242,16 +242,23 @@ def nonintersecting_gf(graph: WeightedDag, spec: EndpointSpec, perm=None, budget
     return sum(weight for weight, _ in _families(graph, starts, end_of, budget))
 
 
+def _permutation_terms(graph: WeightedDag, spec: EndpointSpec, budget: Budget):
+    """Yield (perm, nonintersecting_gf under perm) for every permutation of
+    the starts, the identity first."""
+    for perm in itertools.permutations(range(len(spec.starts))):
+        yield perm, nonintersecting_gf(graph, spec, perm, budget)
+
+
+def _signed_sum(terms):
+    """The sum of sign(perm) * value over (perm, value) terms, from 0."""
+    return sum(permutation_sign(perm) * value for perm, value in terms if value != 0)
+
+
 def signed_path_sum(graph: WeightedDag, spec: EndpointSpec, budget: Budget | None = None):
     """Permutation-signed sum of nonintersecting-family generating functions."""
     if budget is None:
         budget = Budget()
-    total = 0
-    for perm in itertools.permutations(range(len(spec.starts))):
-        value = nonintersecting_gf(graph, spec, perm, budget)
-        if value != 0:
-            total = total + permutation_sign(perm) * value
-    return total
+    return _signed_sum(_permutation_terms(graph, spec, budget))
 
 
 def is_compatible(graph: WeightedDag, spec: EndpointSpec, budget: Budget | None = None) -> bool:

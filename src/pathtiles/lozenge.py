@@ -20,12 +20,11 @@ horizontal lozenge ending each shifted hook.  The squared free-boundary
 count of the one-sided region equals 2^(surviving hooks) times the weighted
 count of the two-sided one, and both sides are also evaluated through
 maximal-minor sums and determinants of binomial path matrices.  Both
-builders emit their cells column by column from the hook arithmetic: the
-plain hooks start right of the forced leftmost strip, a shifted hook adds
-its labelled cells unless it is removed, and a free edge sits at line 0 on
-every hook that reaches column -1.  wedge_hook gives a whole hook from the
-same generator as a cell set, and shifted_wedge_hook moves its leftmost
-cell to the right end.
+regions are built as integer tiling plans (below) from the hook arithmetic:
+a hook is four arithmetic progressions of keys, and the one-sided keys are
+the x < 0 prefix of the two-sided ones.  square_identity_values scans these
+plans; free_hook_region and mirrored_hook_region decode them into validated
+Regions, and wedge_hook decodes one hook from the same progressions.
 
 Tilers.  Every tiler works on one integer plan of the region.  A cell is
 keyed by 2 * ((x - x0) * h + y - y0) + (orient == "R"), with x0 the least x,
@@ -56,7 +55,9 @@ cells and the weighted covers, weights included, onto themselves.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -196,9 +197,7 @@ class _Plan(NamedTuple):
     frame: tuple[int, int, int]  # x0, y0, h
 
     def cell(self, i: int) -> Cell:
-        x0, y0, h = self.frame
-        dx, dy = divmod(self.keys[i] >> 1, h)
-        return Cell(x0 + dx, y0 + dy, "LR"[self.keys[i] & 1])
+        return _key_cell(self.frame, self.keys[i])
 
     def cover_cells(self, cover: tuple[int, ...]) -> frozenset:
         return frozenset(map(self.cell, cover))
@@ -221,6 +220,14 @@ def _cell_key(frame: tuple[int, int, int], cell) -> int:
     x0, y0, h = frame
     x, y, orient = cell
     return 2 * ((x - x0) * h + y - y0) + (orient == "R")
+
+
+def _key_cell(frame: tuple[int, int, int], key: int) -> Cell:
+    """The cell of a key (the inverse of _cell_key), made by tuple.__new__:
+    its fields are valid by construction."""
+    x0, y0, h = frame
+    dx, dy = divmod(key >> 1, h)
+    return tuple.__new__(Cell, (x0 + dx, y0 + dy, "LR"[key & 1]))
 
 
 @functools.cache
@@ -467,7 +474,8 @@ def wedge_hook(order: int, level: int = 0) -> frozenset[Cell]:
         raise ValueError("order must be >= 1")
     if level % 2:
         raise ValueError("level must be even")
-    return frozenset(_hook_cells(level, -order, order))
+    frame = (-order, level - order, order + 2)  # its bounding box, as _tiling_plan would take it
+    return frozenset(_key_cell(frame, key) for key in itertools.chain(*_hook_keys(frame, level, -order, order)))
 
 
 def shifted_wedge_hook(order: int, level: int = 0) -> frozenset[Cell]:
@@ -478,18 +486,21 @@ def shifted_wedge_hook(order: int, level: int = 0) -> frozenset[Cell]:
     return frozenset(cells)
 
 
-def _hook_cells(level: int, lo: int, hi: int):
-    """The cells of columns lo .. hi-1 of the chevron hook at the given level
-    (as in wedge_hook: rising to the left of line 0, falling to its right).
-    The fields are valid by construction, so each Cell is made by
-    tuple.__new__, without the NamedTuple constructor's argument handling."""
-    new = tuple.__new__
-    for c in range(lo, min(hi, 0)):
-        yield new(Cell, (c, level + c + 1, "R"))
-        yield new(Cell, (c, level + c + 2, "L"))
-    for c in range(max(lo, 0), hi):
-        yield new(Cell, (c, level - c, "L"))
-        yield new(Cell, (c, level - c + 1, "R"))
+def _hook_keys(frame: tuple[int, int, int], level: int, lo: int, hi: int) -> list[range]:
+    """The keys (see _cell_key) of columns lo .. hi-1 of the chevron hook at
+    the given level, as four arithmetic progressions.  Left of line 0 the
+    hook rises: column c holds R(c, level + c + 1) and L = R + 1, a step of
+    2h + 2 per column; right of it the hook falls: column c holds
+    L(c, level - c) and R = L + 3, a step of 2h - 2 per column."""
+    x0, y0, h = frame
+    rise, fall = 2 * h + 2, 2 * h - 2
+    n = max(min(hi, 0) - lo, 0)
+    r = 2 * ((lo - x0) * h + level + lo + 1 - y0) + 1  # R(lo, level + lo + 1)
+    c = max(lo, 0)
+    f = 2 * ((c - x0) * h + level - c - y0)  # L(c, level - c)
+    stop = f + max(hi - c, 0) * fall
+    return [range(r, r + n * rise, rise), range(r + 1, r + 1 + n * rise, rise),
+            range(f, stop, fall), range(f + 3, stop + 3, fall)]
 
 
 def _hook_layout(m: int, shape: tuple[int, ...]):
@@ -511,30 +522,70 @@ def _hook_layout(m: int, shape: tuple[int, ...]):
     return plain, shifted
 
 
+def _hook_args(m: int, shape, removed) -> tuple[int, tuple[int, ...], frozenset[int]]:
+    """m, the shape and the removed hooks of a hook region, validated."""
+    if m < 0:
+        raise ValueError("need m >= 0")
+    shape = validate_strict_partition(shape)
+    removed = frozenset(int(i) for i in removed)
+    if not removed <= set(range(1, len(shape) + 1)):
+        raise ValueError(f"removed hooks {sorted(removed)} out of range 1..{len(shape)}")
+    return m, shape, removed
+
+
+def _hook_plans(m: int, shape: tuple[int, ...], removed: frozenset[int]) -> tuple[_Plan, _Plan]:
+    """The tiling plans of the one-sided and the two-sided hook region, keyed
+    from the hook layout in the two-sided region's frame.  Its hooks cover
+    columns 1 - order .. order - 1 at heights level - order + 1 .. level + 1,
+    and its least column is -shape[0] (1 - shape[0] when neither a plain hook
+    nor hook 1's left label is there).  The one-sided region is its x < 0
+    part, whose keys are a prefix of the two-sided keys, in the same order."""
+    plain, shifted = _hook_layout(m, shape)
+    hooks = plain + shifted
+    if hooks:
+        y0 = min(level - order for order, level in hooks)
+        frame = (-shape[0] + (not plain and 1 in removed), y0, hooks[0][1] + 2 - y0)
+    else:
+        frame = (0, 0, 2)
+    x0, _, h = frame
+    runs, labels, halves = [], [], []
+    reaching = [level for _, level in plain]  # levels of the hooks reaching column -1
+    for order, level in plain:
+        runs += _hook_keys(frame, level, 1 - order, order)
+    for i, (part, level) in enumerate(shifted, start=1):
+        runs += _hook_keys(frame, level, 1 - part, part)
+        if i not in removed:
+            right = _cell_key(frame, (part, level - part + 1, "R"))
+            labels += (_cell_key(frame, (-part, level - part + 2, "L")), right)
+            halves.append((_cell_key(frame, (part - 1, level - part + 1, "L")), right))
+        if part > 1 or i not in removed:
+            reaching.append(level)
+    keys = sorted(itertools.chain(*runs, labels))
+    index = {k: i for i, k in enumerate(keys)}
+    offsets, later = _key_offsets(h)
+    # Weight 1/2 on each half lozenge: D = 2, and a lozenge weighs D^2 / 2.
+    weights = {(index[a], index[b]): 2 for a, b in halves}
+    two_sided = _Plan(keys, index, offsets, later, set(), weights, 2 if weights else 1, frame)
+    one_keys = keys[: bisect.bisect_left(keys, 2 * -x0 * h)]
+    one_index = {k: i for i, k in enumerate(one_keys)}
+    free = {one_index[_cell_key(frame, (-1, level + 1, "L"))] for level in reaching}
+    return _Plan(one_keys, one_index, offsets, later, free, {}, 1, frame), two_sided
+
+
+def _plan_region(plan: _Plan) -> Region:
+    """The region of a plan, built by Region's validating constructor."""
+    cells = [_key_cell(plan.frame, key) for key in plan.keys]
+    weights = {plan.cover_cells(cover): Fraction(w, plan.scale ** len(cover)) for cover, w in plan.weights.items()}
+    return Region(cells, [cell_vertical_side(cells[i]) for i in plan.free], weights)
+
+
 def free_hook_region(m: int, shape, removed=()) -> Region:
     """One-sided hook region with a free boundary along line 0.
 
     removed lists the 1-based shifted hooks whose labeled left cell is
     deleted.
     """
-    shape = validate_strict_partition(shape)
-    return _free_hook_region(m, shape, _validate_removed(removed, len(shape)))
-
-
-def _free_hook_region(m: int, shape: tuple[int, ...], removed: frozenset[int]) -> Region:
-    plain, shifted = _hook_layout(m, shape)
-    cells: list[Cell] = []
-    free = []  # each hook reaching column -1 has its free edge at (0, level + 1)
-    for order, level in plain:
-        cells.extend(_hook_cells(level, 1 - order, 0))
-        free.append((0, level + 1))
-    for i, (part, level) in enumerate(shifted, start=1):
-        cells.extend(_hook_cells(level, 1 - part, 0))
-        if i not in removed:
-            cells.append(Cell(-part, level - part + 2, "L"))
-        if part > 1 or i not in removed:
-            free.append((0, level + 1))
-    return Region(cells, free, {})
+    return _plan_region(_hook_plans(*_hook_args(m, shape, removed))[0])
 
 
 def mirrored_hook_region(m: int, shape, removed=()) -> Region:
@@ -544,30 +595,7 @@ def mirrored_hook_region(m: int, shape, removed=()) -> Region:
     for hooks in removed, both labeled cells are deleted and the half-weight
     lozenge disappears with them.
     """
-    shape = validate_strict_partition(shape)
-    return _mirrored_hook_region(m, shape, _validate_removed(removed, len(shape)))
-
-
-def _mirrored_hook_region(m: int, shape: tuple[int, ...], removed: frozenset[int]) -> Region:
-    plain, shifted = _hook_layout(m, shape)
-    cells: list[Cell] = []
-    weights: dict[frozenset, Fraction] = {}
-    for order, level in plain:
-        cells.extend(_hook_cells(level, 1 - order, order))
-    for i, (part, level) in enumerate(shifted, start=1):
-        cells.extend(_hook_cells(level, 1 - part, part))
-        if i not in removed:
-            right_label = Cell(part, level - part + 1, "R")
-            cells += (Cell(-part, level - part + 2, "L"), right_label)
-            weights[frozenset((Cell(part - 1, level - part + 1, "L"), right_label))] = Fraction(1, 2)
-    return Region(cells, (), weights)
-
-
-def _validate_removed(removed, k: int) -> frozenset[int]:
-    removed = frozenset(int(i) for i in removed)
-    if not removed <= set(range(1, k + 1)):
-        raise ValueError(f"removed hooks {sorted(removed)} out of range 1..{k}")
-    return removed
+    return _plan_region(_hook_plans(*_hook_args(m, shape, removed))[1])
 
 
 def binomial_path_matrix(m: int, shape, removed=()) -> ExactMatrix:
@@ -576,8 +604,7 @@ def binomial_path_matrix(m: int, shape, removed=()) -> ExactMatrix:
     Row i (a surviving hook), column j in 1..m+k carries
     C(part_i - 1 + m + i - j, m + i - j).
     """
-    shape = validate_strict_partition(shape)
-    return _binomial_path_matrix(m, shape, _validate_removed(removed, len(shape)))
+    return _binomial_path_matrix(*_hook_args(m, shape, removed))
 
 
 def _binomial_path_matrix(m: int, shape: tuple[int, ...], removed: frozenset[int]) -> ExactMatrix:
@@ -616,18 +643,19 @@ def _mirrored_gf(z: ExactMatrix):
 def square_identity_values(m: int, shape, removed=(), budget: Budget | None = None) -> dict:
     """All four evaluation routes of the squared free-boundary identity.
 
-    The shape and removed set are validated once, and both formulas share
-    one path matrix."""
-    shape = validate_strict_partition(shape)
-    removed = _validate_removed(removed, len(shape))
+    The arguments are validated once, both formulas share one path matrix,
+    and both tilers scan the plans of _hook_plans: the cells, in the same
+    order, of the plans of free_hook_region and mirrored_hook_region."""
+    m, shape, removed = _hook_args(m, shape, removed)
     if budget is None:
         budget = Budget()
     z = _binomial_path_matrix(m, shape, removed)
+    one_sided, two_sided = _hook_plans(m, shape, removed)
     return {
         "free_formula": sum_max_minors(z),  # free_tiling_count_formula
-        "free_tiler": count_tilings(_free_hook_region(m, shape, removed), budget),
+        "free_tiler": _scan(one_sided, _cover_moves(one_sided), budget),  # count_tilings(free_hook_region)
         "mirrored_formula": _mirrored_gf(z),  # mirrored_tiling_gf_formula
-        "mirrored_tiler": count_tilings(_mirrored_hook_region(m, shape, removed), budget),
+        "mirrored_tiler": _scan(two_sided, _cover_moves(two_sided), budget),  # count_tilings(mirrored_hook_region)
         "factor": 2 ** (len(shape) - len(removed)),
     }
 

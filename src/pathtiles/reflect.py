@@ -16,9 +16,9 @@ from .dag import (
     Budget,
     EndpointSpec,
     WeightedDag,
+    _permutation_terms,
+    _signed_sum,
     is_compatible,
-    nonintersecting_gf,
-    signed_path_sum,
 )
 from .ring import scalar_str
 
@@ -137,23 +137,24 @@ def check_reflection_identity(inp: ReflectionInput, budget: Budget | None = None
     """Compare the squared signed sum with both mirrored-graph signed sums.
 
     When the endpoints are compatible the unsigned (identity permutation)
-    version is checked as well.
+    version is checked as well; its values are the identity terms of the
+    signed sums, so no family is walked twice.
     """
     if budget is None:
         budget = Budget()
-    base = signed_path_sum(inp.graph, inp.spec, budget)
+
+    def signed_sum_and_identity_term(graph, spec):
+        terms = list(_permutation_terms(graph, spec, budget))  # signed_path_sum's terms
+        return _signed_sum(terms), terms[0][1]
+
+    base, lhs = signed_sum_and_identity_term(inp.graph, inp.spec)
     bar_graph, bar_spec = build_mirrored_graph(inp, "bar")
     tilde_graph, tilde_spec = build_mirrored_graph(inp, "tilde")
-    bar_value = signed_path_sum(bar_graph, bar_spec, budget)
-    tilde_value = signed_path_sum(tilde_graph, tilde_spec, budget)
+    bar_value, bar_u = signed_sum_and_identity_term(bar_graph, bar_spec)
+    tilde_value, tilde_u = signed_sum_and_identity_term(tilde_graph, tilde_spec)
 
     compatible = is_compatible(inp.graph, inp.spec, budget)
-    unsigned = None
-    if compatible:
-        lhs = nonintersecting_gf(inp.graph, inp.spec, budget=budget)
-        bar_u = nonintersecting_gf(bar_graph, bar_spec, budget=budget)
-        tilde_u = nonintersecting_gf(tilde_graph, tilde_spec, budget=budget)
-        unsigned = (lhs * lhs, bar_u, tilde_u)
+    unsigned = (lhs * lhs, bar_u, tilde_u) if compatible else None
 
     return ReflectionReport(
         squared_signed_sum=base * base,

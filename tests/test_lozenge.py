@@ -25,6 +25,7 @@ from pathtiles.dag import Budget, BudgetExceeded
 from pathtiles.lozenge import (
     Cell,
     Region,
+    binomial_path_matrix,
     cell_partners,
     cell_vertical_side,
     check_hexagon_factorization,
@@ -45,8 +46,10 @@ from pathtiles.lozenge import (
     punctured_hexagon,
     sample_tiling,
     shifted_wedge_hook,
+    square_identity_values,
     staircase_for_hexagon,
     wedge_hook,
+    _hook_plans,
     _symmetry_perms,
     _tiling_plan,
 )
@@ -241,10 +244,39 @@ def test_hook_builders_match_the_set_construction():
     assert len(cases) == 3 + 3752
     for m, shape, removed in cases:
         want_free, want_mirrored = _hook_regions_from_sets(m, shape, removed)
-        for region, want in ((free_hook_region(m, shape, removed), want_free),
-                             (mirrored_hook_region(m, shape, removed), want_mirrored)):
+        plans = _hook_plans(m, shape, frozenset(removed))
+        for region, want, plan in zip((free_hook_region(m, shape, removed), mirrored_hook_region(m, shape, removed)),
+                                      (want_free, want_mirrored), plans):
             assert (region.cells, region.free_edges, region.weights) == want, (m, shape, removed)
             assert all(type(c) is Cell for c in region.cells)
+            # The key-built plan, which square_identity_values scans, is the
+            # plan of the validated region: the same cells in the same order,
+            # free cells, scaled weights and scale.  Its frame may differ.
+            ref = _tiling_plan(region)
+            assert list(map(plan.cell, range(len(plan.keys)))) == list(map(ref.cell, range(len(ref.keys))))
+            assert (plan.free, plan.weights, plan.scale) == (ref.free, ref.weights, ref.scale), (m, shape, removed)
+
+
+def test_square_identity_tilers_count_the_public_hook_regions():
+    # The cases of verify's square-identity group.
+    cases = 0
+    for shape in strict_partitions(4, 3):
+        hooks = range(1, len(shape) + 1)
+        for m in range(3):
+            for r in range(len(shape) + 1):
+                for removed in itertools.combinations(hooks, r):
+                    values = square_identity_values(m, shape, removed)
+                    assert values["free_tiler"] == count_tilings(free_hook_region(m, shape, removed))
+                    assert values["mirrored_tiler"] == count_tilings(mirrored_hook_region(m, shape, removed))
+                    cases += 1
+    assert cases == 192
+
+
+def test_negative_m_is_rejected():
+    for call in (free_hook_region, mirrored_hook_region, binomial_path_matrix, free_tiling_count_formula,
+                 mirrored_tiling_gf_formula, square_identity_values, check_square_identity):
+        with pytest.raises(ValueError, match=r"^need m >= 0$"):
+            call(-1, (3, 1))
 
 
 def test_region_keeps_cells_and_converts_tuples():
@@ -805,8 +837,16 @@ def test_tiler_budget_spending_is_pinned():
     recorded = json.loads((DATA / "tiler_budget_spending.json").read_text())
     builders = {"free_hook_region": free_hook_region, "mirrored_hook_region": mirrored_hook_region}
     assert len(recorded["hook_regions"]) == 156
+    pairs = collections.Counter()
     for name, m, shape, removed, want in recorded["hook_regions"]:
         assert _spent(count_tilings, builders[name](m, shape, removed)) == want, (name, m, shape, removed)
+        pairs[m, tuple(shape), tuple(removed)] += want
+    # square_identity_values tiles both regions of a case from its own plans.
+    assert len(pairs) == 78
+    for (m, shape, removed), want in pairs.items():
+        budget = Budget(10**9)
+        square_identity_values(m, shape, removed, budget)
+        assert budget.limit - budget.remaining == want, (m, shape, removed)
     assert [tuple(case[:3]) for case in recorded["hexagons"]] == [(m, n, list(h)) for m, n, h in HEXAGON_CASES]
     for m, n, holes, count, central, both in recorded["hexagons"]:
         region = holed_hexagon(m, n, holes)

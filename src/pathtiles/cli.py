@@ -32,7 +32,10 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _cmd_verify(args) -> int:
@@ -237,6 +240,10 @@ def _add_spp_args(parser) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact values may run to any number of digits, in and out; Pythons
+    # before 3.10.7 have no limit to lift.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except KeyError as exc:

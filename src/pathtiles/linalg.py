@@ -19,10 +19,11 @@ O(2^n * n) ring products and no division, so it is exponential in the order
 and capped at order 20.  The first row of the expansion is the row itself,
 and each later row is one batch of signed sums of products; only how a
 batch is summed depends on the entry ring.  Polynomial rows make one
-``ring.packed_sums`` call each, which keeps minors packed from row to
-row, so only the last row is unpacked.  Callers that evaluate a polynomial
-determinant at a Kronecker point (ring.kronecker_pack) call it directly on
-the packed ints: their entries run to thousands of bits, and
+``ring.multiply_accumulate`` call each, which keeps packed minors as
+records from row to row, so only the last row is unpacked.  Callers that
+evaluate a polynomial determinant at a Kronecker point
+(ring.kronecker_pack) call it directly on the packed ints: their entries
+run to thousands of bits, and
 CPython's exact ``//`` on such ints is quadratic in their length, so at the
 orders used (up to about 8) Bareiss' n^3 divisions cost more than the DP's
 products.  The same expansion serves ``permanent`` (unsigned) and
@@ -62,7 +63,7 @@ import operator
 from fractions import Fraction
 
 from .budget import Budget
-from .ring import multiply_accumulate, packed_sums, parse_scalar, polynomial, scalar_str
+from .ring import multiply_accumulate, parse_scalar, polynomial, scalar_str
 
 
 class ExactMatrix:
@@ -224,10 +225,11 @@ def _column_subset_dp(matrix: ExactMatrix, signed: bool) -> dict:
     last row: each rows-subset of columns, as a bitmask, with the minor (or,
     unsigned, the permanent) on those columns in sorted order.  The first
     row is its own expansion, so no batch is made for it.  Polynomial rows
-    are packed records (ring.packed_sums) until the last one is unpacked."""
+    are ring.multiply_accumulate's records or term maps until the last one
+    is read by ring.polynomial."""
     n = matrix.cols
     numeric = _is_numeric(matrix._entries)
-    sums = _numeric_sums if numeric else packed_sums
+    sums = _numeric_sums if numeric else multiply_accumulate
     state = {1 << j: x for j, x in enumerate(matrix.row(0))} if matrix.rows else {0: 1}
     for r in range(1, matrix.rows):
         row = matrix.row(r)
@@ -260,7 +262,8 @@ def upper_twos_gram(z: ExactMatrix) -> ExactMatrix:
     Z[a][j] = (Z U)[a][l-1] + Z[a][l-1] + Z[a][l], and each entry of the
     result is one dot product of a row of Z U with a row of Z.  Numeric
     entries take each dot product as one sum of a map; polynomial entries
-    make one ring.multiply_accumulate call for all of them.
+    make one ring.multiply_accumulate call for all of them, each read by
+    ring.polynomial.
     """
     rows = z.to_rows()
     zu = []
@@ -273,7 +276,7 @@ def upper_twos_gram(z: ExactMatrix) -> ExactMatrix:
     if _is_numeric(z._entries):
         return ExactMatrix(z.rows, z.rows, [sum(map(operator.mul, left, right)) for left in zu for right in rows])
     targets = [[(1, x, y) for x, y in zip(left, right)] for left in zu for right in rows]
-    return ExactMatrix(z.rows, z.rows, multiply_accumulate(targets))
+    return ExactMatrix(z.rows, z.rows, map(polynomial, multiply_accumulate(targets)))
 
 
 def _require_skew(matrix: ExactMatrix) -> None:

@@ -11,25 +11,26 @@ compare equal, the choice is invisible to ``==``, ``hash`` and ``str``.
 
 Integer products with many term pairs use Kronecker substitution
 (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symbolic Comput. 2009), batched: ``multiply_accumulate``
-takes many targets, each a signed sum of products a * b, lays the batch
-out by the products it holds, packs each distinct operand into one big
-integer once, sums every target's products on ints and unpacks each target
-once.  ``QtPolynomial.__mul__`` is its one-pair case.  Rational and very
-sparse batches, and batches with too few term pairs per target, use the
-schoolbook dict loop.  The polynomial determinants of ``linalg`` make one
-batch per expansion row through ``packed_sums``, which keeps each packed
-sum as a record of its int, layout and stats, read off its slots.  The
-next batch moves a record to its own layout by byte copies (``_move``)
-rather than unpacking and packing it again, so only the last row is
-unpacked.  The byte-slot packer ``kronecker_pack``, ``slot_width``
-and the single unpacker ``kronecker_unpack``, which reads a packed value up
-to its top nonzero slot into a term map, are public because whole formulas
-are evaluated the same way: ``partitions`` builds its path matrices as
-packed ints in this layout, with ``kronecker_pack`` as their reference, and
-hands them on as records (``packed_record``) or reads them with
-``QtPolynomial.from_packed``.  Everything is immutable after construction,
-so values can be shared freely.
+substitution", J. Symbolic Comput. 2009), batched.  ``multiply_accumulate``
+is the kernel's one entry: it takes many targets, each a signed sum of
+products a * b of ring elements, term maps or packed records, lays the
+batch out by the products it holds, packs each distinct operand into one
+big integer once and sums every target's products on ints.  Each packed
+sum comes back as a record of its int, layout and stats, read off its
+slots; a batch that does not pack (rational, very sparse, or too few term
+pairs per target) is summed by the schoolbook dict loop and comes back as
+term maps.  ``polynomial`` reads either.  ``QtPolynomial.__mul__`` is its
+one-pair case.  The polynomial determinants of ``linalg`` make one batch
+per expansion row, and the next batch moves each record to its own layout
+by byte copies (``_move``) rather than unpacking and packing it again, so
+only the last row is unpacked.  The byte-slot packer ``kronecker_pack``,
+``slot_width`` and the single unpacker ``kronecker_unpack``, which reads a
+packed value up to its top nonzero slot into a term map, are public
+because whole formulas are evaluated the same way: ``partitions`` builds
+its path matrices as packed ints in this layout, with ``kronecker_pack``
+as their reference, and hands them on as records (``packed_record``) or
+reads them with ``QtPolynomial.from_packed``.  Everything is immutable
+after construction, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -54,14 +55,6 @@ _PACK_MIN_PAIRS = 128
 _PACK_PAIRS_PER_TARGET = 32
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
-
-# Term count from which kronecker_pack writes machine words rather than
-# converting each coefficient to bytes.  Measured on CPython 3.11, x86-64,
-# at slot widths 2-6 bytes: the two break even between 6 and 12 terms, and
-# words are about 2x faster at 48 terms.  The kernel packs operands of every
-# size, down to a few terms, so short ones keep the per-term route;
-# CHANGES.md has the runs.
-_WORD_PACK_MIN_TERMS = 12
 
 # Scalar = int | Fraction | QtPolynomial; kept loose on purpose so plain
 # Python ints flow through matrix/graph code unchanged.
@@ -143,10 +136,13 @@ class QtPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # The one-pair case of multiply_accumulate's packing rule, checked
+        # here so that small products build no batch: that would cost them
+        # about 16% (20k small products, CPython 3.11, x86-64).
         pair = (1, self._terms, other._terms)
         if len(self._terms) * len(other._terms) <= _PACK_MIN_PAIRS:
             return _raw(_mac_dict((pair,)))
-        return _raw(_multiply_accumulate([[pair]])[0])
+        return polynomial(multiply_accumulate([[pair]])[0])
 
     __rmul__ = __mul__
 
@@ -229,26 +225,21 @@ def _coefficient(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
-def multiply_accumulate(targets) -> list[QtPolynomial]:
+def multiply_accumulate(targets) -> list:
     """Many sums of products at once: for each target, a list of
-    (sign, a, b) with sign +1 or -1 and ring elements a, b, the polynomial
-    sum of sign * a * b.
-
-    Integer batches with enough term pairs per target go through one
-    Kronecker layout chosen from all the operands of the batch: each
-    distinct operand is packed once, every target is summed on ints and
-    unpacked once.
-    """
-    batch = [[(sign, _coerce(a)._terms, _coerce(b)._terms) for sign, a, b in target] for target in targets]
-    return [_raw(terms) for terms in _multiply_accumulate(batch)]
-
-
-def packed_sums(targets) -> list:
-    """multiply_accumulate whose operands may also be records or term maps,
-    keeping each sum as a record where its batch packs, else as a term map."""
+    (sign, a, b) with sign +1 or -1 and a, b ring elements, term maps or
+    packed records, the sum of sign * a * b.  A batch that packs
+    (``_mac_packed``) gives one record per target, any other batch one
+    schoolbook term map per target; ``polynomial`` reads both."""
     pick = lambda x: x if type(x) in (_Packed, dict) else _coerce(x)._terms
     batch = [[(sign, pick(a), pick(b)) for sign, a, b in target] for target in targets]
-    return _multiply_accumulate(batch, records=True)
+    term_pairs = sum(len(a) * len(b) for target in batch for _, a, b in target)
+    if term_pairs > _PACK_MIN_PAIRS + _PACK_PAIRS_PER_TARGET * (len(batch) - 1):
+        packed = _mac_packed(batch, term_pairs)
+        if packed is not None:
+            return packed
+    terms = lambda x: kronecker_unpack(x.value, x.stride, x.width) if type(x) is _Packed else x
+    return [_mac_dict([(sign, terms(a), terms(b)) for sign, a, b in target]) for target in batch]
 
 
 def polynomial(value):
@@ -297,28 +288,13 @@ def _move(x: _Packed, stride: int, width: int) -> int:
         return x.value
     top_q, top_t = x.stats()[:2]
     w0, n, slots = x.width, top_t + 1, top_q * x.stride + top_t + 1
-    data, wide = (x.value + _bias(slots, w0)).to_bytes(slots * w0, "little"), bytearray(slots * width)
-    for j in range(w0):
-        wide[j::width] = data[j::w0]
+    wide = _reslot((x.value + _bias(slots, w0)).to_bytes(slots * w0, "little"), w0, width)
     empty = (b"\0" * (w0 - 1) + b"\x80").ljust(width, b"\0")
     out = bytearray(empty * (top_q * stride + n))
     row, old, new = n * width, x.stride * width, stride * width
     for r in range(top_q + 1):
         out[r * new : r * new + row] = wide[r * old : r * old + row]
     return int.from_bytes(out, "little") - int.from_bytes(empty * (len(out) // width), "little")
-
-
-def _multiply_accumulate(batch: list, records: bool = False) -> list:
-    """multiply_accumulate on term maps, one term map per target; with
-    records, on records too, keeping the sums of a packed batch as records."""
-    term_pairs = sum(len(a) * len(b) for target in batch for _, a, b in target)
-    if term_pairs > _PACK_MIN_PAIRS + _PACK_PAIRS_PER_TARGET * (len(batch) - 1):
-        packed = _mac_packed(batch, term_pairs, records)
-        if packed is not None:
-            return packed
-    if records:
-        batch = [[(s, polynomial(a)._terms, polynomial(b)._terms) for s, a, b in target] for target in batch]
-    return [_mac_dict(target) for target in batch]
 
 
 def _mac_dict(target: list) -> dict:
@@ -342,17 +318,17 @@ def _mac_dict(target: list) -> dict:
     return out
 
 
-def _mac_packed(batch: list, term_pairs: int, records: bool = False) -> list | None:
+def _mac_packed(batch: list, term_pairs: int) -> list | None:
     """Kronecker substitution for a whole batch of int term maps and
-    records, laid out by the products it holds.
+    records, laid out by the products it holds, with one record per target.
 
     Term (e_q, e_t) goes to slot e_q * stride + e_t with stride = the
     largest deg_t(a) + deg_t(b) of a live pair, plus 1, so no product
     exponent carries across slots.  A coefficient of a * b is at most
     min(max|a| * L1(b), L1(a) * max|b|), so the slot holds the largest
     per-target sum of that bound plus a sign bit, and no fewer bytes than a
-    record operand, which is moved (``_move``).  With records, each sum is
-    kept as a record with L1 bound the sum of L1(a) * L1(b) over its pairs.
+    record operand, which is moved (``_move``).  Each sum's record has L1
+    bound the sum of L1(a) * L1(b) over its pairs.
 
     Returns None for a rational batch, and when the targets together have
     more slots than term pairs: unpacking visits every slot, so the dict
@@ -398,7 +374,7 @@ def _mac_packed(batch: list, term_pairs: int, records: bool = False) -> list | N
             if a and b:
                 product = packed[id(a)] * packed[id(b)]
                 acc = acc + product if sign > 0 else acc - product
-        out.append(packed_record(acc, stride, width, l1) if records else kronecker_unpack(acc, stride, width))
+        out.append(packed_record(acc, stride, width, l1))
     return out
 
 
@@ -412,33 +388,36 @@ def kronecker_pack(terms: dict, stride: int, width: int) -> int:
 
     Term (e_q, e_t) lands in slot e_q * stride + e_t; no two terms may share
     a slot, and every |c| must be below 2^(8 * width - 1).  An empty term
-    map packs to 0.  Many terms in slots of at most 8 bytes are written as
-    machine words biased by 2^(8 * width - 1), which makes every slot
-    nonnegative, and narrowed to width bytes by strided copies: no per-term
-    int conversion, but a fixed cost that a few terms do not repay.
+    map packs to 0.  Every slot is written biased by 2^(8 * width - 1),
+    which makes it nonnegative, and the bias is subtracted once at the end.
+    Slots of at most 8 bytes are written as machine words and narrowed to
+    width bytes by strided copies, with no per-term int conversion; wider
+    slots are written term by term.
     """
     at = [eq * stride + et for eq, et in terms]
     slots = max(at, default=-1) + 1
-    if width <= 8 and len(terms) >= _WORD_PACK_MIN_TERMS:
-        half = 1 << (8 * width - 1)
+    half, bias = 1 << (8 * width - 1), _bias(slots, width)
+    if width <= 8:
         words = array("Q", (half,)) * slots
         for i, c in zip(at, terms.values()):
             words[i] = c + half
         if not _LITTLE_ENDIAN:
             words.byteswap()
-        raw = words.tobytes()
-        data = bytearray(slots * width)
-        for j in range(width):
-            data[j::width] = raw[j::8]
-        return int.from_bytes(data, "little") - _bias(slots, width)
-    pos, neg = bytearray(slots * width), bytearray(slots * width)
-    for i, c in zip(at, terms.values()):
-        i *= width
-        if c > 0:
-            pos[i : i + width] = c.to_bytes(width, "little")
-        else:
-            neg[i : i + width] = (-c).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        data = _reslot(words.tobytes(), 8, width)
+    else:
+        data = bytearray(bias.to_bytes(slots * width, "little"))
+        for i, c in zip(at, terms.values()):
+            data[i * width : (i + 1) * width] = (c + half).to_bytes(width, "little")
+    return int.from_bytes(data, "little") - bias
+
+
+def _reslot(data, old: int, new: int) -> bytearray:
+    """Little-endian slots of old bytes copied into slots of new bytes by
+    strided slices: each keeps its low min(old, new) bytes, zero above."""
+    out = bytearray(len(data) // old * new)
+    for j in range(min(old, new)):
+        out[j::new] = data[j::old]
+    return out
 
 
 def _bias(slots: int, width: int) -> int:
@@ -468,10 +447,7 @@ def _biased_slots(value: int, width: int) -> list[int]:
     data = (value + _bias(slots, width)).to_bytes(slots * width, "little")
     if width > 8:
         return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
-    raw = bytearray(8 * slots)
-    for j in range(width):
-        raw[j::8] = data[j::width]
-    words = array("Q", raw)
+    words = array("Q", _reslot(data, width, 8))
     if not _LITTLE_ENDIAN:
         words.byteswap()
     return words.tolist()
@@ -539,7 +515,8 @@ def substitute(p: QtPolynomial, q_image, t_image) -> QtPolynomial:
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_MONOMIAL_RE = re.compile(r"^(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?P<vars>(?:[qt](?:\^\d+)?(?:\*)?)*)$")
+# A term is never empty, so "+", "q +" and "2 + + q" do not parse.
+_MONOMIAL_RE = re.compile(r"^(?!$)(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?P<vars>(?:[qt](?:\^\d+)?(?:\*)?)*)$")
 
 
 def parse_polynomial(text: str) -> QtPolynomial:
@@ -572,8 +549,8 @@ def _parse_term(term: str) -> tuple[Fraction, int, int]:
         raise ValueError(f"cannot parse polynomial term: {term!r}")
     coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
     eq = et = 0
-    for factor in filter(None, m.group("vars").split("*")):
-        name, _, exp = factor.partition("^")
+    # The "*" between factors is optional, so "qq" is q^2 and "qt" is q*t.
+    for name, exp in re.findall(r"([qt])(?:\^(\d+))?", m.group("vars")):
         power = int(exp) if exp else 1
         if name == "q":
             eq += power

@@ -227,6 +227,15 @@ def test_pfaffian_of_bare_json_numbers_is_a_usage_error(tmp_path):
     assert proc.stdout == ""
 
 
+def test_pfaffian_prints_values_past_the_int_digit_limit(tmp_path, capsys):
+    # 5,000 digits, past CPython's default 4,300-digit limit on int <-> str.
+    x = "7" * 5000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([["0", x], ["-" + x, "0"]]))
+    assert main(["compute", "pfaffian", "--matrix", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == x
+
+
 LIST_ID_GRAPHS = [
     {"vertices": [[0, 0], [0, 1]], "edges": [{"from": [0, 0], "to": [0, 1]}]},
     {"vertices": [0, 1], "edges": [{"from": 0, "to": [1]}]},
@@ -326,6 +335,7 @@ BAD_GRAPH_FILES = [
     {"vertices": [0], "edges": [], "starts": 0, "ends": [0]},
     {"vertices": [0], "edges": [], "starts": [0], "ends": {}},
     {"vertices": [0], "edges": [], "starts": None, "ends": [0]},
+    {"vertices": [0, 1], "edges": [{"from": 0, "to": 1, "w": "-"}], "starts": [0], "ends": [1]},
 ]
 BAD_REGION_FILES = [
     {"cells": 5},
@@ -462,6 +472,10 @@ _FUZZ_COMMANDS = [
 ]
 
 
+# An array nested past the interpreter's recursion limit.
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def _run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -476,7 +490,7 @@ def _run_main(argv):
 @given(st.data())
 def test_cli_on_malformed_input_files_exits_cleanly(data):
     command, document = data.draw(st.sampled_from(_FUZZ_COMMANDS))
-    text = data.draw(st.one_of(document.map(json.dumps), st.sampled_from(["", "{", "[1,", "nul", "{}{}"])))
+    text = data.draw(st.one_of(document.map(json.dumps), st.sampled_from(["", "{", "[1,", "nul", "{}{}", _DEEP_JSON])))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         with open(path, "w") as fh:

@@ -147,10 +147,18 @@ def test_canonical_form_layout():
     assert str(q - 1) == "-1 + q"
 
 
+@pytest.mark.parametrize("text", ["+", "-", "q +", "2 + + q", "q - - t"])
+def test_parse_scalar_rejects_empty_terms(text):
+    with pytest.raises(ValueError, match="cannot parse polynomial term"):
+        parse_scalar(text)
+
+
 def test_parse_scalar_dispatch():
     assert parse_scalar("-3/4") == Fraction(-3, 4)
     assert parse_scalar("7") == 7
     assert parse_scalar("q^2*t") == q**2 * t
+    # Factors without a "*" between them multiply.
+    assert parse_scalar("qq") == q**2 and parse_scalar("q t") == q * t and parse_scalar("2t^2q") == 2 * q * t**2
     assert scalar_str(Fraction(9, 2)) == "9/2"
     assert scalar_str(3) == "3"
 
@@ -182,7 +190,7 @@ def _packed_product(a, b):
     """The kernel's packed route on the one-pair batch a * b, or None."""
     a, b = a.terms(), b.terms()
     out = ring._mac_packed([[(1, a, b)]], len(a) * len(b))
-    return out if out is None else out[0]
+    return out if out is None else ring.polynomial(out[0]).terms()
 
 
 def _assert_packed_matches_schoolbook(a, b, packs=True):
@@ -312,14 +320,21 @@ def _packed_batch(targets):
     ]
     term_pairs = sum(len(a) * len(b) for target in batch for _, a, b in target)
     enough = term_pairs > ring._PACK_MIN_PAIRS + ring._PACK_PAIRS_PER_TARGET * (len(batch) - 1)
-    return ring._mac_packed(batch, term_pairs) if enough else None
+    packed = ring._mac_packed(batch, term_pairs) if enough else None
+    return packed if packed is None else [ring.polynomial(x).terms() for x in packed]
+
+
+def _sums(targets):
+    """multiply_accumulate's results, records and term maps alike, read by
+    ring.polynomial."""
+    return [ring.polynomial(x) for x in ring.multiply_accumulate(targets)]
 
 
 def _assert_batch_matches_oracle(targets, packs=None):
     # packs: True when the batch must take the packed route, False when it
     # must fall back to the dict loop, None when either is allowed.
     expected = batch_oracle(targets)
-    got = ring.multiply_accumulate(targets)
+    got = _sums(targets)
     assert [p.terms() for p in got] == expected
     for p in got:
         assert all(type(c) is int or c.denominator != 1 for c in p.terms().values())
@@ -366,11 +381,22 @@ def test_multiply_accumulate_cancellation():
     f = 1 + t + t**2 + 3 * t**3 - 5 * t**4
     a, b = qint(40) * f, (1 - q) * f * (2 - t)
     _assert_batch_matches_oracle([[(1, a, b), (-1, b, a)]], packs=True)
-    assert ring.multiply_accumulate([[(1, a, b), (-1, b, a)]]) == [0]
+    assert _sums([[(1, a, b), (-1, b, a)]]) == [0]
     # a^2 - b^2 == (a + b)(a - b), with every middle term of a cancelling.
-    assert ring.multiply_accumulate([[(1, a, a), (-1, b, b)]]) == [(a + b) * (a - b)]
+    assert _sums([[(1, a, a), (-1, b, b)]]) == [(a + b) * (a - b)]
     big = QtPolynomial({(i, i % 3): (-1) ** i * 10**30 for i in range(30)})
     _assert_batch_matches_oracle([[(1, big, big), (-1, big, big)], [(1, big, a), (1, a, big), (-1, a, a)]], packs=True)
+
+
+def test_multiply_accumulate_returns_records_where_the_batch_packs():
+    # One entry, two result forms: a packed batch gives a record per target,
+    # any other batch a term map per target, and polynomial reads both.
+    a, b = qint(12) * (1 + t), 3 - q * t
+    packs, does_not = [[(1, a, b), (1, b, a)], [(1, a, a), (-1, b, b)]], [[(1, b, b)], [(-1, b, 2)]]
+    for targets, form in ((packs, ring._Packed), (does_not, dict)):
+        got = ring.multiply_accumulate(targets)
+        assert [type(x) for x in got] == [form] * len(targets)
+        assert [ring.polynomial(x).terms() for x in got] == batch_oracle(targets)
 
 
 def test_multiply_accumulate_width_counts_the_pairs_of_a_target():
@@ -421,7 +447,7 @@ def test_multiply_accumulate_scalars_and_empty_targets():
     a = qint(20) * (1 + t)
     targets = [[], [(1, 0, a), (1, a, QtPolynomial())], [(1, 3, a), (-1, a, 2)], [(1, Fraction(1, 2), 4)]]
     _assert_batch_matches_oracle(targets)
-    assert ring.multiply_accumulate(targets) == [0, 0, a, 2]
+    assert _sums(targets) == [0, 0, a, 2]
 
 
 def test_multiply_accumulate_mixed_int_and_fraction_operands():
@@ -429,7 +455,7 @@ def test_multiply_accumulate_mixed_int_and_fraction_operands():
     b = QtPolynomial({(i, 0): Fraction(1, 2) if i % 3 else 2 for i in range(20)})
     _assert_batch_matches_oracle([[(1, a, a), (-1, a, b)], [(1, b, b)]], packs=False)
     # Halves that sum to integers come back as ints.
-    assert ring.multiply_accumulate([[(1, b, a), (1, b, a)]]) == [2 * b * a]
+    assert _sums([[(1, b, a), (1, b, a)]]) == [2 * b * a]
     _assert_batch_matches_oracle([[(1, b, a), (1, b, a)]], packs=False)
 
 
@@ -448,9 +474,9 @@ def test_multiply_accumulate_needs_term_pairs_for_every_target(monkeypatch):
     a, b = qint(4) * (1 + t), 1 - 2 * q
     few = [[(1, a, b)]] * 64
     many = [[(1, a, b), (-1, b, a), (1, a, b)]] * 64
-    assert ring.multiply_accumulate(few) == [a * b] * 64
+    assert _sums(few) == [a * b] * 64
     assert routes == []
-    assert ring.multiply_accumulate(many) == [a * b] * 64
+    assert _sums(many) == [a * b] * 64
     assert routes == [64]
     _assert_batch_matches_oracle(many, packs=True)
 
@@ -470,8 +496,8 @@ def test_unpack_reads_to_the_top_nonzero_slot(stride):
 
 @pytest.mark.parametrize("count", [3, 40])
 def test_kronecker_pack_round_trip_at_every_width(count):
-    # Few terms pack by bytes; many terms in slots of at most 8 bytes pack
-    # through machine words.
+    # Slots of at most 8 bytes pack through machine words, few terms or
+    # many; wider slots pack term by term.
     for width in range(1, 11):
         bound = 2 ** (8 * width - 1) - 1
         terms = {(i, i % 2): (-1) ** i * (bound - i) for i in range(count)}
